@@ -28,7 +28,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import matrixkit
-from .errors import NetworkFormatError
+from .errors import NetworkFormatError, SingularMatrixError
 
 FACES = ("N", "E", "S", "W")
 
@@ -257,19 +257,72 @@ class ResponseMatrix:
         return ResponseMatrix(factor * self.entries)
 
 
+@lru_cache(maxsize=None)
+def _kirchhoff_plan(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and sign of each edge's four Laplacian entries, per edge.
+
+    Entries are listed edge by edge in catalog order as ``uu, vv, uv, vu``,
+    so one ``np.add.at`` accumulates every entry in the same order as an
+    edge-by-edge loop would.
+    """
+    spec = LatticeSpec(k)
+    ends = np.array([spec.edge_endpoints(e) for e in spec.edges], dtype=np.intp)
+    u, v = ends[:, 0], ends[:, 1]
+    rows = np.stack([u, v, u, v], axis=1).ravel()
+    cols = np.stack([u, v, v, u], axis=1).ravel()
+    signs = np.tile([1.0, 1.0, -1.0, -1.0], len(ends))
+    for a in (rows, cols, signs):
+        a.setflags(write=False)
+    return rows, cols, signs
+
+
 def build_kirchhoff(net: ConductanceMap) -> np.ndarray:
     """Conductance-weighted graph Laplacian over boundary then interior nodes."""
     spec = net.spec
     n = spec.n_nodes
+    g = np.fromiter((net.values[e] for e in spec.edges), dtype=np.float64, count=spec.n_edges)
+    rows, cols, signs = _kirchhoff_plan(spec.length)
     kirchhoff = np.zeros((n, n))
-    for edge in spec.edges:
-        g = net.values[edge]
-        u, v = spec.edge_endpoints(edge)
-        kirchhoff[u, u] += g
-        kirchhoff[v, v] += g
-        kirchhoff[u, v] -= g
-        kirchhoff[v, u] -= g
+    np.add.at(kirchhoff, (rows, cols), np.repeat(g, 4) * signs)
     return kirchhoff
+
+
+def _eliminate_interior(kirchhoff: np.ndarray, k: int):
+    """Schur complement of the Kirchhoff matrix onto the boundary.
+
+    The interior is block tridiagonal in grid rows, so it is eliminated one
+    row at a time: each step solves one ``k``-by-``k`` system against the
+    row's coupling to the boundary (with the fill-in of earlier rows) and
+    to the next row.  Every LAPACK call stays this small, which keeps the
+    result independent of the BLAS thread count.
+
+    Returns the (unsymmetrized) response matrix and, per grid row, the
+    solved couplings ``(x_b, x_c)`` from which interior potentials follow
+    by back substitution: ``phi_r = -(x_b @ u + x_c @ phi_{r+1})``.
+
+    Raises:
+        SingularMatrixError: if a row block cannot be solved.
+    """
+    nb = 4 * k
+    rows = [slice(nb + r * k, nb + (r + 1) * k) for r in range(k + 1)]
+    lam = kirchhoff[:nb, :nb].copy()
+    m_br, m_rb, m_rr = kirchhoff[:nb, rows[0]], kirchhoff[rows[0], :nb], kirchhoff[rows[0], rows[0]]
+    steps = []
+    for r in range(k):
+        cur, nxt = rows[r], rows[r + 1]
+        coupling = kirchhoff[cur, nxt]  # k-by-0 after the last row
+        try:
+            x = np.linalg.solve(m_rr, np.concatenate([m_rb, coupling], axis=1))
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"interior row {r + 1}: {exc}") from None
+        x_b, x_c = x[:, :nb], x[:, nb:]
+        steps.append((x_b, x_c))
+        lam -= m_br @ x_b
+        back = kirchhoff[nxt, cur]
+        m_br = kirchhoff[:nb, nxt] - m_br @ x_c
+        m_rb = kirchhoff[nxt, :nb] - back @ x_b
+        m_rr = kirchhoff[nxt, nxt] - back @ x_c
+    return lam, steps
 
 
 def response_matrix(net: ConductanceMap) -> ResponseMatrix:
@@ -278,11 +331,7 @@ def response_matrix(net: ConductanceMap) -> ResponseMatrix:
     The analytic result is symmetric; the returned matrix is symmetrized
     so that it is exactly so.
     """
-    spec = net.spec
-    kirchhoff = build_kirchhoff(net)
-    boundary = range(spec.n_boundary)
-    interior = range(spec.n_boundary, spec.n_nodes)
-    lam = matrixkit.schur_complement(kirchhoff, boundary, interior)
+    lam, _ = _eliminate_interior(build_kirchhoff(net), net.spec.length)
     return ResponseMatrix(matrixkit.symmetrize_average(lam))
 
 
@@ -298,19 +347,23 @@ def forward_boundary_solve(net: ConductanceMap, voltages) -> BoundaryResponse:
     """Currents drawn at every boundary node under the given voltages.
 
     Also returns the interior node potentials (the harmonic extension of
-    the boundary data), ordered row-major over the interior grid.
+    the boundary data), ordered row-major over the interior grid.  One
+    elimination serves both: the currents equal ``response_matrix(net)``
+    applied to the voltages, and the potentials back-substitute through
+    the same per-row solves.
     """
     spec = net.spec
     u = np.asarray(voltages, dtype=np.float64)
     if u.shape != (spec.n_boundary,):
         raise ValueError(f"expected {spec.n_boundary} boundary voltages, got shape {u.shape}")
-    lam = response_matrix(net)
-    currents = lam.entries @ u
-    kirchhoff = build_kirchhoff(net)
-    nb = spec.n_boundary
-    k_ii = kirchhoff[nb:, nb:]
-    k_ib = kirchhoff[nb:, :nb]
-    interior = matrixkit.solve_linear_system(k_ii, -(k_ib @ u))
+    lam, steps = _eliminate_interior(build_kirchhoff(net), spec.length)
+    currents = matrixkit.symmetrize_average(lam) @ u
+    potentials = []
+    below = np.zeros(0)
+    for x_b, x_c in reversed(steps):
+        below = -(x_b @ u + x_c @ below)
+        potentials.append(below)
+    interior = np.concatenate(potentials[::-1])
     return BoundaryResponse(currents=currents, interior_potentials=interior)
 
 

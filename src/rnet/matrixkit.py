@@ -1,10 +1,12 @@
-"""Dense float64 matrix kernel for small boundary-response systems.
+"""Dense matrix kernel: validation, a reference pivoted LU and CSV exchange.
 
 Everything here treats arrays as immutable values: inputs are never
 modified and every operation returns a freshly allocated array.  The
 solver is a row-pivoted LU with a hard relative pivot floor, so a
 conditioning collapse surfaces as :class:`SingularMatrixError` instead of
-silently propagating NaNs.
+silently propagating NaNs.  The forward model and the peel solve their
+float64 systems with numpy's LAPACK instead; this elimination, written
+out in Python, is the reference for non-float64 arithmetic.
 """
 
 from __future__ import annotations

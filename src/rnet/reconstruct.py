@@ -6,9 +6,15 @@ One pass over the current boundary works in three moves:
    eliminate the opposite face to get that face's reduction matrix.  Its
    diagonal is the spike conductances; consecutive spike pairs combined
    with its subdiagonal give the tangential boundary-edge conductances.
-2. Remove the now-known boundary resistors from the response matrix with
-   the two exact update rules (spike removal re-roots a boundary index at
-   the spike's interior endpoint; edge removal is additive).
+2. Remove the now-known boundary resistors from the response matrix.
+   Spike removal re-roots a boundary index at the spike's interior
+   endpoint.  The non-corner spikes of a layer commute, so they go
+   together as one block Schur update: one solve against
+   ``lam_SS - diag(gamma)`` over those ``4m - 4`` indices.  Each corner's
+   second spike and the tangential ring edges then come off by the
+   additive edge rule, all in one scatter-add.  The one-at-a-time rules
+   (``apply_spike_removal``, ``apply_edge_removal``) remain as the
+   reference that ``peel_layer(schedule=...)`` applies.
 3. Eight indices become structurally isolated; deleting their rows and
    columns leaves the response matrix of the length ``k-2`` sub-network.
    Repeat until nothing is left.
@@ -24,6 +30,7 @@ import math
 import time
 import warnings as _warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +43,6 @@ from .errors import (
     NetworkFormatError,
     ResidualTooLargeError,
     SingularBlockError,
-    SingularMatrixError,
     ZeroDivisorError,
     annotate_layer,
 )
@@ -87,9 +93,8 @@ def face_blocks(lam, k: int | None = None) -> FaceBlocks:
     if k is not None and k != m:
         raise DimensionMismatchError(f"expected length {k}, matrix implies {m}")
     ranges = {face: slice(idx * m, (idx + 1) * m) for idx, face in enumerate(FACES)}
-    blocks = {
-        (f, g): a[ranges[f], ranges[g]].copy() for f in FACES for g in FACES
-    }
+    # Views into ``a``, which as_matrix already copied from the caller's data.
+    blocks = {(f, g): a[ranges[f], ranges[g]] for f in FACES for g in FACES}
     return FaceBlocks(length=m, blocks=blocks)
 
 
@@ -115,27 +120,49 @@ _TILDE_RECIPE = {
 }
 
 
+def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.full(b.shape, np.nan)
+
+
 def tilde_face_matrices(blocks: FaceBlocks) -> FaceTildeSet:
     """Eliminate each face's opposite block and return the four reductions.
 
+    All four opposite blocks are solved in one stacked LAPACK call whose
+    right-hand side also carries the identity, so the same solve yields
+    each block's inverse and hence its infinity-norm condition number.
+
     Raises:
-        SingularBlockError: when an opposite-face block cannot be inverted,
-            which signals a degenerate or overly noisy response matrix.
+        SingularBlockError: when an opposite-face block's condition number
+            reaches ``1 / matrixkit.PIVOT_FLOOR``, which signals a
+            degenerate or overly noisy response matrix.
     """
+    m = blocks.length
+    opposite = np.stack([blocks[_TILDE_RECIPE[face][1]] for face in FACES])
+    continuation = np.stack([blocks[_TILDE_RECIPE[face][2]] for face in FACES])
+    rhs = np.concatenate([continuation, np.broadcast_to(np.eye(m), (4, m, m))], axis=2)
+    try:
+        x = np.linalg.solve(opposite, rhs)
+    except np.linalg.LinAlgError:
+        # An exactly zero pivot somewhere: solve face by face to find it.
+        x = np.stack([_solve_or_nan(a, b) for a, b in zip(opposite, rhs)])
+    norm = np.abs(opposite).sum(axis=2).max(axis=1)
+    cond = norm * np.abs(x[:, :, m:]).sum(axis=2).max(axis=1)
     matrices: dict[str, np.ndarray] = {}
     condition: dict[str, float] = {}
-    for face in FACES:
-        ab, inv_block, cd = _TILDE_RECIPE[face]
-        try:
-            x = matrixkit.solve_linear_system(blocks[inv_block], blocks[cd])
-        except SingularMatrixError as exc:
+    for idx, face in enumerate(FACES):
+        ab, inv_block, _ = _TILDE_RECIPE[face]
+        if not cond[idx] < 1.0 / matrixkit.PIVOT_FLOOR:
             raise SingularBlockError(
-                f"opposite-face block {inv_block[0]}{inv_block[1]} is singular: {exc}",
+                f"opposite-face block {inv_block[0]}{inv_block[1]} is singular: "
+                f"condition {cond[idx]:.3e} at or above {1.0 / matrixkit.PIVOT_FLOOR:.0e}",
                 face=face,
-            ) from None
-        matrices[face] = blocks[(face, face)] - blocks[ab] @ x
-        condition[face] = matrixkit.condition_estimate(blocks[inv_block])
-    return FaceTildeSet(length=blocks.length, matrices=matrices, condition=condition)
+            )
+        matrices[face] = blocks[(face, face)] - blocks[ab] @ x[idx, :, :m]
+        condition[face] = float(cond[idx])
+    return FaceTildeSet(length=m, matrices=matrices, condition=condition)
 
 
 @dataclass(frozen=True)
@@ -284,21 +311,23 @@ class PeelState:
     current_lambda: np.ndarray
     current_length: int
     layer: int
-    index_map: tuple
-    diagnostics: tuple[LayerDiagnostics, ...] = ()
     last_residual_max: float | None = None
 
     @classmethod
     def initial(cls, spec: LatticeSpec, lam: np.ndarray) -> "PeelState":
-        index_map = tuple(
-            layer_boundary_node(spec, 0, j) for j in range(1, spec.n_boundary + 1)
-        )
         return cls(
             spec=spec,
             current_lambda=matrixkit.as_matrix(lam),
             current_length=spec.length,
             layer=0,
-            index_map=index_map,
+        )
+
+    @property
+    def index_map(self) -> tuple:
+        """Physical node behind each boundary index of the current sub-network."""
+        return tuple(
+            layer_boundary_node(self.spec, self.layer, j)
+            for j in range(1, 4 * self.current_length + 1)
         )
 
 
@@ -391,6 +420,113 @@ def apply_schedule(lam: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     return cur
 
 
+@dataclass(frozen=True)
+class _RingPlan:
+    """Index arrays of the canonical removals for one current length ``m``.
+
+    ``order`` lists the 0-based indices whose spikes go by the spike rule
+    (the first ``n_spikes``) and then the four deferred corner partners;
+    ``inverse`` undoes that permutation.  ``values`` below is the layer's
+    spikes by boundary index followed by its tangential edges in
+    ``edge_keys`` order.  The edge removals are one scatter-add of
+    ``signs * values[gather]`` at ``(rows, cols)``.
+    """
+
+    edge_keys: tuple[tuple[int, int], ...]
+    n_spikes: int
+    order: np.ndarray
+    inverse: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    signs: np.ndarray
+    gather: np.ndarray
+    gone: np.ndarray
+    survivors: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _ring_plan(m: int) -> _RingPlan:
+    n = 4 * m
+    corners = corner_index_pairs(m)
+    deferred = sorted(high - 1 for _, high in corners)
+    labels = anchor_labels(m)
+    edges = [(high, low, high - 1) for low, high in corners]
+    edges += [
+        (labels[(fi, j)], labels[(fi, j + 1)], n + fi * (m - 1) + j - 1)
+        for fi in range(4)
+        for j in range(1, m)
+    ]
+    i = np.array([e[0] for e in edges], dtype=np.intp) - 1
+    j = np.array([e[1] for e in edges], dtype=np.intp) - 1
+    order = np.concatenate([np.setdiff1d(np.arange(n), deferred), deferred])
+    gone = np.array(isolated_indices(m), dtype=np.intp) - 1
+    plan = _RingPlan(
+        edge_keys=tuple((fi * m + j, fi * m + j + 1) for fi in range(4) for j in range(1, m)),
+        n_spikes=n - len(deferred),
+        order=order,
+        inverse=np.argsort(order),
+        rows=np.stack([i, j, i, j], axis=1).ravel(),
+        cols=np.stack([i, j, j, i], axis=1).ravel(),
+        signs=np.tile([-1.0, -1.0, 1.0, 1.0], len(edges)),
+        gather=np.repeat([e[2] for e in edges], 4),
+        gone=gone,
+        survivors=np.setdiff1d(np.arange(n), gone),
+    )
+    for value in vars(plan).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)  # shared by every caller through the cache
+    return plan
+
+
+def _remove_ring(lam: np.ndarray, extraction: PeelExtraction) -> np.ndarray:
+    """All canonical removals of one layer as one block update.
+
+    The non-corner spike removals (index set S, the rest R) commute, so
+    together they are one Schur update with ``D = lam_SS - diag(gamma)``:
+    a single solve ``X = D^-1 [lam_SR | diag(gamma)]`` gives every block of
+    the result.  The edge removals that follow are purely additive.
+    """
+    m = extraction.length
+    plan = _ring_plan(m)
+    ns = plan.n_spikes
+    values = np.array(
+        [extraction.spikes[b] for b in range(1, 4 * m + 1)]
+        + [extraction.edges[key] for key in plan.edge_keys],
+        dtype=np.float64,
+    )
+    gamma = values[plan.order[:ns]]
+    bad = np.flatnonzero(~(np.isfinite(gamma) & (gamma > 0)))
+    if bad.size:
+        node = int(plan.order[bad[0]]) + 1
+        raise InvalidConductanceError(
+            f"spike {node}: conductance must be positive, got {float(gamma[bad[0]])!r}"
+        )
+    a = lam.take(plan.order, axis=0).take(plan.order, axis=1)  # S first, then R
+    diag_gamma = np.diag(gamma)
+    d = a[:ns, :ns] - diag_gamma
+    try:
+        x = np.linalg.solve(d, np.concatenate([a[:ns, ns:], diag_gamma], axis=1))
+    except np.linalg.LinAlgError:
+        raise DegenerateDeltaError("spike block is exactly singular") from None
+    nr = a.shape[0] - ns
+    x_r, x_g = x[:, :nr], x[:, nr:]
+    # D^-1 = X_gamma / gamma, so the condition number costs no extra solve.
+    cond = float(np.abs(d).sum(axis=1).max() * np.abs(x_g / gamma).sum(axis=1).max())
+    if not cond < 1.0 / DELTA_FLOOR:
+        raise DegenerateDeltaError(
+            f"spike block is singular: condition {cond:.3e} at or above {1.0 / DELTA_FLOOR:.0e}"
+        )
+    a_rs = a[ns:, :ns]
+    out = np.empty_like(a)
+    out[:ns, :ns] = -gamma[:, None] * x_g - diag_gamma
+    out[:ns, ns:] = -gamma[:, None] * x_r
+    out[ns:, :ns] = -a_rs @ x_g
+    out[ns:, ns:] = a[ns:, ns:] - a_rs @ x_r
+    out = out.take(plan.inverse, axis=0).take(plan.inverse, axis=1)
+    np.add.at(out, (plan.rows, plan.cols), plan.signs * values[plan.gather])
+    return out
+
+
 def peel_layer(
     state: PeelState,
     extraction: PeelExtraction,
@@ -399,12 +535,19 @@ def peel_layer(
 ) -> PeelState:
     """Remove the current boundary layer and compact the response matrix.
 
+    By default the whole layer goes in one block update; an explicit
+    ``schedule`` is applied one removal at a time instead, which is the
+    reference the block form is checked against.
+
     Which rows get deleted is decided by lattice combinatorics, never by
     thresholding; their residual max-norm is recorded (and warned about
     beyond ``RESIDUAL_WARN`` relative to the largest diagonal), because
     under noise the "zero" rows are merely small.
 
     Raises:
+        InvalidConductanceError: a spike to remove is nonpositive or not
+            finite.
+        DegenerateDeltaError: the spikes are inconsistent with the matrix.
         ResidualTooLargeError: only when ``residual_limit`` is given and
             exceeded; by default large residuals warn and proceed.
     """
@@ -415,13 +558,14 @@ def peel_layer(
         raise DimensionMismatchError(
             f"extraction is for length {extraction.length}, state has {m}"
         )
-    steps = removal_schedule(m, extraction) if schedule is None else schedule
-    stripped = apply_schedule(state.current_lambda, steps)
+    if schedule is None:
+        stripped = _remove_ring(state.current_lambda, extraction)
+    else:
+        stripped = apply_schedule(state.current_lambda, schedule)
 
-    gone = isolated_indices(m)
+    plan = _ring_plan(m)
     scale = float(np.abs(np.diag(state.current_lambda)).max()) or 1.0
-    gone0 = [idx - 1 for idx in gone]
-    residual = float(np.abs(stripped[gone0, :]).max())
+    residual = float(np.abs(stripped[plan.gone, :]).max())
     if residual > RESIDUAL_WARN * scale:
         message = (
             f"layer {state.layer}: isolated-row residual {residual:.3e} "
@@ -431,19 +575,12 @@ def peel_layer(
             raise ResidualTooLargeError(message)
         _warnings.warn(message, RuntimeWarning, stacklevel=2)
 
-    survivors = [idx - 1 for idx in range(1, 4 * m + 1) if idx not in gone]
-    compact = stripped[np.ix_(survivors, survivors)]
-    new_layer = state.layer + 1
-    new_m = m - 2
-    index_map = tuple(
-        layer_boundary_node(state.spec, new_layer, j) for j in range(1, 4 * new_m + 1)
-    )
+    compact = stripped.take(plan.survivors, axis=0).take(plan.survivors, axis=1)
     return replace(
         state,
         current_lambda=compact,
-        current_length=new_m,
-        layer=new_layer,
-        index_map=index_map,
+        current_length=m - 2,
+        layer=state.layer + 1,
         last_residual_max=residual,
     )
 
@@ -470,6 +607,22 @@ def _safe_reciprocal(g: float) -> float:
     if g == 0.0:
         return math.inf
     return 1.0 / g
+
+
+@lru_cache(maxsize=None)
+def _layer_edge_ids(k: int, layer: int) -> tuple[tuple[EdgeId, ...], tuple[EdgeId, ...]]:
+    """Physical edges behind a layer's spike and tangential-edge estimates.
+
+    Both are in the order ``extract_boundary_conductances`` lists them:
+    spikes by boundary index, tangential edges face by face.
+    """
+    spec = LatticeSpec(k)
+    m = k - 2 * layer
+    spikes = tuple(layer_spike_edge(spec, layer, j) for j in range(1, 4 * m + 1))
+    tangential = tuple(
+        layer_tangential_edge(spec, layer, face, i) for face in FACES for i in range(1, m)
+    )
+    return spikes, tangential
 
 
 def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> ReconstructionResult:
@@ -508,16 +661,12 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
             blocks = face_blocks(cur, m)
             tilde = tilde_face_matrices(blocks)
             extraction = extract_boundary_conductances(tilde)
-        except (SingularBlockError, ZeroDivisorError, SingularMatrixError) as exc:
+        except (SingularBlockError, ZeroDivisorError) as exc:
             raise annotate_layer(exc, layer)
 
-        for j, gamma in extraction.spikes.items():
-            values[layer_spike_edge(spec, layer, j)] = gamma
-        for offset, face in zip(range(0, 4 * m, m), FACES):
-            for i in range(1, m):
-                values[layer_tangential_edge(spec, layer, face, i)] = extraction.edges[
-                    (offset + i, offset + i + 1)
-                ]
+        spike_ids, tangential_ids = _layer_edge_ids(k, layer)
+        values.update(zip(spike_ids, extraction.spikes.values()))
+        values.update(zip(tangential_ids, extraction.edges.values()))
 
         diag = LayerDiagnostics(
             layer=layer,
@@ -536,7 +685,6 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
             raise annotate_layer(exc, layer)
         diag.residual_max = state.last_residual_max
         report.append(diag)
-        state = replace(state, diagnostics=tuple(report))
 
     conductances = ConductanceMap(spec, values, check_values=False)
     resistances = {e: _safe_reciprocal(values[e]) for e in spec.edges}

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rnet
 from rnet.errors import SpecMismatchError
 from rnet.experiments import (
     CSV_HEADER,
@@ -80,6 +85,28 @@ class TestSizeSweep:
         a = sweep_to_csv(run_size_sweep([2, 3], trials=4, seed=11))
         b = sweep_to_csv(run_size_sweep([2, 3], trials=4, seed=11))
         assert strip_time_columns(a) == strip_time_columns(b)
+
+    def test_csv_independent_of_blas_thread_count(self):
+        # Every LAPACK call in the forward model and the peel is at most
+        # 4k wide, below the sizes at which OpenBLAS splits work across
+        # threads, so the bits must not depend on the thread count.
+        def sweep_csv(threads: int) -> str:
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+            src = str(Path(rnet.__file__).resolve().parents[1])
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            code = (
+                "from rnet.experiments import run_size_sweep, sweep_to_csv; "
+                "print(sweep_to_csv(run_size_sweep([10, 12, 14], trials=3, seed=21)), end='')"
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                timeout=300, check=True,
+            )
+            return done.stdout
+
+        one, two = sweep_csv(1), sweep_csv(2)
+        assert "\n14,3," in one
+        assert strip_time_columns(one) == strip_time_columns(two)
 
     def test_different_seeds_differ(self):
         a = run_size_sweep([3], trials=4, seed=1)

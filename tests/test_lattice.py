@@ -248,6 +248,15 @@ class TestForwardSolve:
         with pytest.raises(ValueError):
             forward_boundary_solve(net, np.ones(7))
 
+    def test_matches_response_matrix_and_dense_solve(self):
+        net = random_conductances(build_lattice(6), np.random.default_rng(12))
+        u = np.random.default_rng(13).uniform(-1, 1, 24)
+        out = forward_boundary_solve(net, u)
+        assert np.array_equal(out.currents, response_matrix(net).entries @ u)
+        kirchhoff = build_kirchhoff(net)
+        dense = np.linalg.solve(kirchhoff[24:, 24:], -(kirchhoff[24:, :24] @ u))
+        assert np.abs(out.interior_potentials - dense).max() <= 1e-12
+
 
 class TestLayerGeometry:
     @pytest.mark.parametrize("k", range(2, 8))

@@ -21,6 +21,7 @@ from rnet.lattice import (
     uniform_conductances,
 )
 from rnet.reconstruct import (
+    PeelExtraction,
     PeelState,
     apply_edge_removal,
     apply_schedule,
@@ -100,6 +101,15 @@ class TestTildeFaces:
     def test_singular_opposite_block(self):
         with pytest.raises(SingularBlockError) as err:
             tilde_face_matrices(face_blocks(np.eye(8)))
+        assert err.value.face == "N"
+
+    def test_near_singular_opposite_block(self):
+        # No pivot is exactly zero, so a plain LAPACK solve succeeds; the
+        # condition number (~4.5e15) is what must refuse it.
+        lam = unit_lambda(3).copy()
+        lam[9:12, 3:6] = [[1.0, 1.0, 0.0], [1.0, 1.0 + 2.0**-50, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(SingularBlockError) as err:
+            tilde_face_matrices(face_blocks(lam))
         assert err.value.face == "N"
 
 
@@ -320,13 +330,26 @@ class TestPeel:
         with pytest.raises(ResidualTooLargeError):
             peel_layer(state, bad, residual_limit=1e-6)
 
+    @pytest.mark.parametrize("slack", [0.0, 2.0**-50], ids=["exact", "near"])
+    def test_inconsistent_spikes_refused(self, slack):
+        # The spike block D = lam_SS - diag(gamma) is all ones plus
+        # slack * I: exactly singular, or near enough that no LAPACK pivot
+        # is zero and only its condition number refuses it.
+        m = 3
+        lam = np.ones((4 * m, 4 * m)) + 2.0 * np.eye(4 * m)
+        spikes = {b: 2.0 - slack for b in range(1, 4 * m + 1)}
+        edges = {(f * m + j, f * m + j + 1): 1.0 for f in range(4) for j in range(1, m)}
+        ext = PeelExtraction(length=m, spikes=spikes, edges=edges)
+        with pytest.raises(DegenerateDeltaError):
+            peel_layer(PeelState.initial(build_lattice(m), lam), ext)
+
     def test_needs_interior(self):
         net, lam = random_lambda(2, 1)
         ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
         with pytest.raises(ValueError):
             peel_layer(PeelState.initial(net.spec, lam), ext)
 
-    @pytest.mark.parametrize("k,seed", [(3, 0), (4, 1), (5, 2)])
+    @pytest.mark.parametrize("k,seed", [(3, 0), (4, 1), (5, 2), (6, 3), (8, 4)])
     def test_schedule_independence(self, k, seed):
         net, lam = random_lambda(k, seed)
         ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
@@ -412,6 +435,17 @@ class TestReconstructFull:
         with pytest.raises(SingularBlockError) as err:
             reconstruct_full(np.eye(8), 2)
         assert "layer 0" in str(err.value)
+
+    def test_nonpositive_ring1_spike_refused(self):
+        # A negative ring-1 spike is read off exactly once ring 0 is gone.
+        spec = build_lattice(5)
+        values = {e: 1.0 for e in spec.edges}
+        values[layer_spike_edge(spec, 1, 2)] = -0.5
+        lam = response_matrix(ConductanceMap(spec, values, check_values=False))
+        with pytest.raises(InvalidConductanceError) as err:
+            reconstruct_full(lam, 5)
+        assert "layer 1" in str(err.value)
+        assert err.value.layer == 1
 
     def test_asymmetric_input_warns(self):
         lam = unit_lambda(2).copy()
