@@ -91,35 +91,19 @@ def _quiet_diagnostics():
         yield
 
 
-def _size_trial(args) -> tuple[float, float, float, bool]:
-    k, seed, lo, hi, trial = args
+def _trial(args) -> tuple[float, float, float, bool]:
+    """One seeded trial, noisy when ``sigma > 0``: ``(rmse, rel_rmse, ms, failed)``."""
+    k, seed, lo, hi, sigma, sigma_index, trial = args
     spec = build_lattice(k)
     rng = np.random.default_rng(_network_seed(seed, k, trial))
     net = random_conductances(spec, rng, lo, hi)
     lam = response_matrix(net)
+    if sigma > 0:
+        lam = apply_elementwise_noise(lam, sigma, _noise_seed(seed, k, sigma_index, trial))
     t0 = time.perf_counter()
     try:
         with _quiet_diagnostics():
             recon = reconstruct_full(lam, k)
-    except RnetError:
-        return (math.nan, math.nan, (time.perf_counter() - t0) * 1000.0, True)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    metrics = rmse_metrics(net, recon)
-    failed = not (math.isfinite(metrics.rmse) and math.isfinite(metrics.rel_rmse))
-    return (metrics.rmse, metrics.rel_rmse, elapsed, failed)
-
-
-def _noise_trial(args) -> tuple[float, float, float, bool]:
-    k, seed, sigma, sigma_index, trial = args
-    spec = build_lattice(k)
-    rng = np.random.default_rng(_network_seed(seed, k, trial))
-    net = random_conductances(spec, rng, 1.0, 2.0)
-    lam = response_matrix(net)
-    noisy = apply_elementwise_noise(lam, sigma, _noise_seed(seed, k, sigma_index, trial))
-    t0 = time.perf_counter()
-    try:
-        with _quiet_diagnostics():
-            recon = reconstruct_full(noisy, k)
     except RnetError:
         return (math.nan, math.nan, (time.perf_counter() - t0) * 1000.0, True)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -150,11 +134,15 @@ def _aggregate(param: str, trials: int, outcomes: Sequence[tuple]) -> SweepRow:
     return SweepRow(param, trials, math.nan, math.nan, math.nan, math.nan, math.nan, failures)
 
 
-def _run_trials(trial_fn, args_list, workers: int | None):
+def _run_row(param: str, args_list: list[tuple], workers: int | None) -> SweepRow:
+    """One sweep row: a discarded warm-up on the first trial, then every trial."""
+    _trial(args_list[0])
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(trial_fn, args_list, chunksize=4))
-    return [trial_fn(args) for args in args_list]
+            outcomes = list(pool.map(_trial, args_list, chunksize=4))
+    else:
+        outcomes = [_trial(args) for args in args_list]
+    return _aggregate(param, len(args_list), outcomes)
 
 
 def run_size_sweep(
@@ -175,11 +163,14 @@ def run_size_sweep(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rows = []
-    for k in k_values:
-        _size_trial((k, seed, resistance_low, resistance_high, 0))  # warm-up, discarded
-        args = [(k, seed, resistance_low, resistance_high, t) for t in range(trials)]
-        rows.append(_aggregate(str(k), trials, _run_trials(_size_trial, args, workers)))
+    rows = [
+        _run_row(
+            str(k),
+            [(k, seed, resistance_low, resistance_high, 0.0, 0, t) for t in range(trials)],
+            workers,
+        )
+        for k in k_values
+    ]
     config = {
         "sweep": "size",
         "k_values": ",".join(str(k) for k in k_values),
@@ -208,14 +199,15 @@ def run_noise_sweep(
     for s in sigmas:
         if not (math.isfinite(s) and s >= 0):
             raise ValueError(f"sigma must be >= 0, got {s!r}")
-    rows = []
-    for k in k_values:
-        for s_idx, sigma in enumerate(sigmas):
-            _noise_trial((k, seed, sigma, s_idx, 0))  # warm-up, discarded
-            args = [(k, seed, sigma, s_idx, t) for t in range(trials)]
-            rows.append(
-                _aggregate(f"{k}:{sigma:g}", trials, _run_trials(_noise_trial, args, workers))
-            )
+    rows = [
+        _run_row(
+            f"{k}:{sigma:g}",
+            [(k, seed, 1.0, 2.0, sigma, s_idx, t) for t in range(trials)],
+            workers,
+        )
+        for k in k_values
+        for s_idx, sigma in enumerate(sigmas)
+    ]
     config = {
         "sweep": "noise",
         "k_values": ",".join(str(k) for k in k_values),
@@ -238,11 +230,10 @@ def run_timing_profile(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rows = []
-    for k in k_values:
-        _size_trial((k, seed, 1.0, 2.0, 0))  # warm-up, discarded
-        outcomes = [_size_trial((k, seed, 1.0, 2.0, t)) for t in range(trials)]
-        rows.append(_aggregate(str(k), trials, outcomes))
+    rows = [
+        _run_row(str(k), [(k, seed, 1.0, 2.0, 0.0, 0, t) for t in range(trials)], None)
+        for k in k_values
+    ]
     config = {
         "sweep": "timing",
         "k_values": ",".join(str(k) for k in k_values),

@@ -11,9 +11,6 @@ out in Python, is the reference for non-float64 arithmetic.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 import numpy as np
 
 from .errors import SingularMatrixError
@@ -105,58 +102,10 @@ def solve_linear_system(a, b) -> np.ndarray:
     return x[:, 0] if vector else x
 
 
-def invert(a) -> np.ndarray:
-    """Inverse of a square matrix via the pivoted solver."""
-    a = _square(a)
-    return solve_linear_system(a, np.eye(a.shape[0]))
-
-
-def schur_complement(m, keep: Sequence[int], eliminate: Sequence[int]) -> np.ndarray:
-    """Eliminate the ``eliminate`` indices of ``m`` and return the reduced matrix.
-
-    ``keep`` and ``eliminate`` must partition ``range(n)``.  The result is
-    ``m[keep, keep] - m[keep, elim] @ inv(m[elim, elim]) @ m[elim, keep]``,
-    indexed in the order ``keep`` was given.
-
-    Raises:
-        SingularMatrixError: if the eliminated block is singular.
-    """
-    m = _square(m)
-    n = m.shape[0]
-    keep = np.asarray(list(keep), dtype=np.intp)
-    elim = np.asarray(list(eliminate), dtype=np.intp)
-    combined = np.concatenate([keep, elim])
-    if len(combined) != n or len(np.unique(combined)) != n or (
-        combined.size and (combined.min() < 0 or combined.max() >= n)
-    ):
-        raise ValueError("keep and eliminate must partition the index range")
-    mkk = m[np.ix_(keep, keep)]
-    if elim.size == 0:
-        return mkk
-    mke = m[np.ix_(keep, elim)]
-    mek = m[np.ix_(elim, keep)]
-    mee = m[np.ix_(elim, elim)]
-    return mkk - mke @ solve_linear_system(mee, mek)
-
-
 def symmetrize_average(m) -> np.ndarray:
     """Average a matrix with its transpose; the result is exactly symmetric."""
     m = _square(m)
     return (m + m.T) / 2.0
-
-
-def condition_estimate(a) -> float:
-    """Infinity-norm condition number estimate, +inf when singular."""
-    a = _square(a)
-    if a.shape[0] == 0:
-        return 1.0
-    try:
-        inv = invert(a)
-    except SingularMatrixError:
-        return math.inf
-    norm_a = float(np.abs(a).sum(axis=1).max())
-    norm_inv = float(np.abs(inv).sum(axis=1).max())
-    return norm_a * norm_inv
 
 
 def matrix_to_csv(a) -> str:

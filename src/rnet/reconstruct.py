@@ -165,19 +165,21 @@ def tilde_face_matrices(blocks: FaceBlocks) -> FaceTildeSet:
     return FaceTildeSet(length=m, matrices=matrices, condition=condition)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeelExtraction:
     """Spike and tangential-edge conductances read off one boundary layer.
 
-    ``spikes`` maps the layer's boundary index to its spike conductance;
-    ``edges`` maps ``(i, i+1)`` index pairs along a face to the tangential
-    conductance between their anchors.  Nonpositive or non-finite
-    estimates (possible under noise) are listed in ``flags``, not clamped.
+    ``spikes`` holds the ``4m`` spike conductances in boundary-index order
+    (``spikes[b - 1]`` for index ``b``).  ``edges`` holds the ``4(m-1)``
+    tangential conductances face by face in ``FACES`` order:
+    ``edges[f * (m - 1) + j - 1]`` joins face ``f``'s local anchors ``j``
+    and ``j + 1``.  Nonpositive or non-finite estimates (possible under
+    noise) are listed in ``flags``, not clamped.
     """
 
     length: int
-    spikes: dict[int, float]
-    edges: dict[tuple[int, int], float]
+    spikes: np.ndarray
+    edges: np.ndarray
     flags: tuple[str, ...] = ()
 
 
@@ -199,20 +201,20 @@ def extract_boundary_conductances(tilde: FaceTildeSet) -> PeelExtraction:
     (``[j+1, j]`` for faces N and S, ``[j, j+1]`` for E and W).
     """
     m = tilde.length
-    spikes: dict[int, float] = {}
-    edges: dict[tuple[int, int], float] = {}
+    spikes: list[float] = []
+    edges: list[float] = []
     flags: list[str] = []
     for offset, face in zip(range(0, 4 * m, m), FACES):
         t = tilde.matrices[face]
         lower = _EDGE_DIVISOR_IS_SUBDIAGONAL[face]
         for j in range(1, m + 1):
             gamma = float(t[j - 1, j - 1])
-            spikes[offset + j] = gamma
+            spikes.append(gamma)
             if not (math.isfinite(gamma) and gamma > 0):
                 flags.append(f"spike {offset + j}: nonpositive estimate {gamma!r}")
         for j in range(1, m):
             pair = (offset + j, offset + j + 1)
-            product = spikes[pair[0]] * spikes[pair[1]]
+            product = spikes[offset + j - 1] * spikes[offset + j]
             divisor = float(t[j, j - 1]) if lower else float(t[j - 1, j])
             if divisor == 0.0 or abs(divisor) < DIVISOR_FLOOR * abs(product):
                 raise ZeroDivisorError(
@@ -220,10 +222,12 @@ def extract_boundary_conductances(tilde: FaceTildeSet) -> PeelExtraction:
                     f"for spike product {product!r}"
                 )
             gamma_p = product / divisor
-            edges[pair] = gamma_p
+            edges.append(gamma_p)
             if not (math.isfinite(gamma_p) and gamma_p > 0):
                 flags.append(f"edge {pair}: nonpositive estimate {gamma_p!r}")
-    return PeelExtraction(length=m, spikes=spikes, edges=edges, flags=tuple(flags))
+    return PeelExtraction(
+        length=m, spikes=np.array(spikes), edges=np.array(edges), flags=tuple(flags)
+    )
 
 
 def apply_spike_removal(lam, node: int, gamma: float) -> np.ndarray:
@@ -375,23 +379,23 @@ def removal_schedule(
         raise ValueError(f"peeling needs current length >= 3, got {m}")
     corners = corner_index_pairs(m)
     deferred = {(high if corner_low_first else low) for low, high in corners}
+    spikes, edges = extraction.spikes, extraction.edges
     steps: list[tuple] = []
     for b in range(1, 4 * m + 1):
         if b not in deferred:
-            steps.append(("spike", b, extraction.spikes[b]))
+            steps.append(("spike", b, float(spikes[b - 1])))
     labels = anchor_labels(m, corner_low_first)
     for low, high in corners:
         kept, removed = (low, high) if corner_low_first else (high, low)
-        steps.append(("edge", removed, kept, extraction.spikes[removed]))
+        steps.append(("edge", removed, kept, float(spikes[removed - 1])))
     for fi in range(4):
-        offset = fi * m
         for j in range(1, m):
             steps.append(
                 (
                     "edge",
                     labels[(fi, j)],
                     labels[(fi, j + 1)],
-                    extraction.edges[(offset + j, offset + j + 1)],
+                    float(edges[fi * (m - 1) + j - 1]),
                 )
             )
     return steps
@@ -424,15 +428,15 @@ def apply_schedule(lam: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
 class _RingPlan:
     """Index arrays of the canonical removals for one current length ``m``.
 
-    ``order`` lists the 0-based indices whose spikes go by the spike rule
-    (the first ``n_spikes``) and then the four deferred corner partners;
-    ``inverse`` undoes that permutation.  ``values`` below is the layer's
-    spikes by boundary index followed by its tangential edges in
-    ``edge_keys`` order.  The edge removals are one scatter-add of
-    ``signs * values[gather]`` at ``(rows, cols)``.
+    Compiled from ``removal_schedule``, so the block form follows the same
+    order as the step-by-step reference.  ``values`` below is a layer's
+    spikes followed by its tangential edges, both in ``PeelExtraction``
+    order.  ``order`` lists the 0-based indices whose spikes go by the
+    spike rule (the first ``n_spikes``) and then the four deferred corner
+    partners; ``inverse`` undoes that permutation.  The edge removals are
+    one scatter-add of ``signs * values[gather]`` at ``(rows, cols)``.
     """
 
-    edge_keys: tuple[tuple[int, int], ...]
     n_spikes: int
     order: np.ndarray
     inverse: np.ndarray
@@ -447,28 +451,23 @@ class _RingPlan:
 @lru_cache(maxsize=None)
 def _ring_plan(m: int) -> _RingPlan:
     n = 4 * m
-    corners = corner_index_pairs(m)
-    deferred = sorted(high - 1 for _, high in corners)
-    labels = anchor_labels(m)
-    edges = [(high, low, high - 1) for low, high in corners]
-    edges += [
-        (labels[(fi, j)], labels[(fi, j + 1)], n + fi * (m - 1) + j - 1)
-        for fi in range(4)
-        for j in range(1, m)
-    ]
+    # An extraction whose every value is its own slot in ``values``.
+    slots = PeelExtraction(length=m, spikes=np.arange(n), edges=np.arange(n, 2 * n - 4))
+    steps = removal_schedule(m, slots)
+    spiked = [step[1] - 1 for step in steps if step[0] == "spike"]
+    edges = [step[1:] for step in steps if step[0] == "edge"]
     i = np.array([e[0] for e in edges], dtype=np.intp) - 1
     j = np.array([e[1] for e in edges], dtype=np.intp) - 1
-    order = np.concatenate([np.setdiff1d(np.arange(n), deferred), deferred])
+    order = np.concatenate([spiked, np.setdiff1d(np.arange(n), spiked)])
     gone = np.array(isolated_indices(m), dtype=np.intp) - 1
     plan = _RingPlan(
-        edge_keys=tuple((fi * m + j, fi * m + j + 1) for fi in range(4) for j in range(1, m)),
-        n_spikes=n - len(deferred),
+        n_spikes=len(spiked),
         order=order,
         inverse=np.argsort(order),
         rows=np.stack([i, j, i, j], axis=1).ravel(),
         cols=np.stack([i, j, j, i], axis=1).ravel(),
         signs=np.tile([-1.0, -1.0, 1.0, 1.0], len(edges)),
-        gather=np.repeat([e[2] for e in edges], 4),
+        gather=np.repeat([int(e[2]) for e in edges], 4),
         gone=gone,
         survivors=np.setdiff1d(np.arange(n), gone),
     )
@@ -478,22 +477,17 @@ def _ring_plan(m: int) -> _RingPlan:
     return plan
 
 
-def _remove_ring(lam: np.ndarray, extraction: PeelExtraction) -> np.ndarray:
+def _remove_ring(lam: np.ndarray, values: np.ndarray) -> np.ndarray:
     """All canonical removals of one layer as one block update.
 
-    The non-corner spike removals (index set S, the rest R) commute, so
+    ``values`` is the layer's spikes followed by its tangential edges.  The
+    non-corner spike removals (index set S, the rest R) commute, so
     together they are one Schur update with ``D = lam_SS - diag(gamma)``:
     a single solve ``X = D^-1 [lam_SR | diag(gamma)]`` gives every block of
     the result.  The edge removals that follow are purely additive.
     """
-    m = extraction.length
-    plan = _ring_plan(m)
+    plan = _ring_plan(lam.shape[0] // 4)
     ns = plan.n_spikes
-    values = np.array(
-        [extraction.spikes[b] for b in range(1, 4 * m + 1)]
-        + [extraction.edges[key] for key in plan.edge_keys],
-        dtype=np.float64,
-    )
     gamma = values[plan.order[:ns]]
     bad = np.flatnonzero(~(np.isfinite(gamma) & (gamma > 0)))
     if bad.size:
@@ -559,7 +553,9 @@ def peel_layer(
             f"extraction is for length {extraction.length}, state has {m}"
         )
     if schedule is None:
-        stripped = _remove_ring(state.current_lambda, extraction)
+        stripped = _remove_ring(
+            state.current_lambda, np.concatenate([extraction.spikes, extraction.edges])
+        )
     else:
         stripped = apply_schedule(state.current_lambda, schedule)
 
@@ -603,26 +599,21 @@ class ReconstructionResult:
         return self.conductances.spec
 
 
-def _safe_reciprocal(g: float) -> float:
-    if g == 0.0:
-        return math.inf
-    return 1.0 / g
-
-
 @lru_cache(maxsize=None)
-def _layer_edge_ids(k: int, layer: int) -> tuple[tuple[EdgeId, ...], tuple[EdgeId, ...]]:
-    """Physical edges behind a layer's spike and tangential-edge estimates.
+def _layer_positions(k: int, layer: int) -> np.ndarray:
+    """Catalog position of each physical edge behind a layer's estimates.
 
-    Both are in the order ``extract_boundary_conductances`` lists them:
-    spikes by boundary index, tangential edges face by face.
+    In ``PeelExtraction`` order: spikes by boundary index, then tangential
+    edges face by face.
     """
     spec = LatticeSpec(k)
     m = k - 2 * layer
-    spikes = tuple(layer_spike_edge(spec, layer, j) for j in range(1, 4 * m + 1))
-    tangential = tuple(
-        layer_tangential_edge(spec, layer, face, i) for face in FACES for i in range(1, m)
-    )
-    return spikes, tangential
+    position = {e: p for p, e in enumerate(spec.edges)}
+    ids = [layer_spike_edge(spec, layer, j) for j in range(1, 4 * m + 1)]
+    ids += [layer_tangential_edge(spec, layer, face, i) for face in FACES for i in range(1, m)]
+    positions = np.array([position[e] for e in ids], dtype=np.intp)
+    positions.setflags(write=False)  # shared by every caller through the cache
+    return positions
 
 
 def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> ReconstructionResult:
@@ -648,7 +639,7 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
         notes.append(note)
         _warnings.warn(note, RuntimeWarning, stacklevel=2)
 
-    values: dict[EdgeId, float] = {}
+    g = np.full(spec.n_edges, np.nan)
     report: list[LayerDiagnostics] = []
     state = PeelState.initial(spec, entries)
     while True:
@@ -664,9 +655,7 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
         except (SingularBlockError, ZeroDivisorError) as exc:
             raise annotate_layer(exc, layer)
 
-        spike_ids, tangential_ids = _layer_edge_ids(k, layer)
-        values.update(zip(spike_ids, extraction.spikes.values()))
-        values.update(zip(tangential_ids, extraction.edges.values()))
+        g[_layer_positions(k, layer)] = np.concatenate([extraction.spikes, extraction.edges])
 
         diag = LayerDiagnostics(
             layer=layer,
@@ -686,8 +675,9 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
         diag.residual_max = state.last_residual_max
         report.append(diag)
 
-    conductances = ConductanceMap(spec, values, check_values=False)
-    resistances = {e: _safe_reciprocal(values[e]) for e in spec.edges}
+    r = np.divide(1.0, g, out=np.full_like(g, math.inf), where=g != 0.0)
+    conductances = ConductanceMap(spec, dict(zip(spec.edges, g.tolist())), check_values=False)
+    resistances = dict(zip(spec.edges, r.tolist()))
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return ReconstructionResult(
         conductances=conductances,

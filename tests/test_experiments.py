@@ -114,14 +114,15 @@ class TestSizeSweep:
         assert a.rows[0].rmse_mean != b.rows[0].rmse_mean
 
     def test_parallel_matches_sequential(self):
-        seq = run_size_sweep([2, 3], trials=6, seed=5, workers=None)
-        par = run_size_sweep([2, 3], trials=6, seed=5, workers=2)
-        for s_row, p_row in zip(seq.rows, par.rows):
-            assert s_row.param == p_row.param
-            assert s_row.rmse_mean == p_row.rmse_mean
-            assert s_row.rmse_std == p_row.rmse_std
-            assert s_row.rel_rmse_mean == p_row.rel_rmse_mean
-            assert s_row.failures == p_row.failures
+        sweeps = [
+            lambda workers: run_size_sweep([2, 3], trials=6, seed=5, workers=workers),
+            lambda workers: run_noise_sweep([3, 7], [1e-6, 1e-3], trials=6, seed=5, workers=workers),
+        ]
+        for sweep in sweeps:
+            seq, par = sweep(None), sweep(2)
+            assert len(seq.rows) == len(par.rows)
+            # repr-equal CSV cells: bit-equal floats, and NaN rows of refused trials compare
+            assert strip_time_columns(sweep_to_csv(seq)) == strip_time_columns(sweep_to_csv(par))
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
@@ -163,6 +164,17 @@ class TestTimingProfile:
             assert row.time_ms_mean > 0
             assert row.time_ms_std >= 0
             assert row.failures == 0
+
+    def test_rows_match_size_sweep_outside_time_columns(self):
+        timing = run_timing_profile([2, 5], trials=4, seed=6)
+        size = run_size_sweep([2, 5], trials=4, seed=6)
+        for t_row, s_row in zip(timing.rows, size.rows, strict=True):
+            assert (t_row.param, t_row.trials, t_row.failures) == (
+                s_row.param, s_row.trials, s_row.failures
+            )
+            assert (t_row.rmse_mean, t_row.rmse_std, t_row.rel_rmse_mean) == (
+                s_row.rmse_mean, s_row.rmse_std, s_row.rel_rmse_mean
+            )
 
     def test_time_grows_with_length(self):
         res = run_timing_profile([2, 8], trials=5, seed=1)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,83 +55,6 @@ class TestSolve:
         assert resid <= 1e-12 * max(1.0, np.abs(b).max())
 
 
-class TestInvert:
-    def test_identity(self):
-        assert np.array_equal(matrixkit.invert(np.eye(4)), np.eye(4))
-
-    def test_diagonal(self):
-        inv = matrixkit.invert(np.diag([2.0, 4.0]))
-        assert np.allclose(inv, np.diag([0.5, 0.25]), rtol=0, atol=1e-15)
-
-    def test_opposite_face_block_of_unit_length2_lattice(self):
-        # det = 1/576 - 1/144 = -1/192; hand inverse is [[8, -16], [-16, 8]]
-        block = np.array([[-1 / 24, -1 / 12], [-1 / 12, -1 / 24]])
-        assert np.allclose(matrixkit.invert(block), [[8.0, -16.0], [-16.0, 8.0]],
-                           rtol=0, atol=1e-12)
-
-    def test_product_is_identity(self):
-        rng = np.random.default_rng(11)
-        a = rng.uniform(-1, 1, (6, 6)) + 6 * np.eye(6)
-        assert np.allclose(a @ matrixkit.invert(a), np.eye(6), rtol=0, atol=1e-10)
-
-
-class TestSchurComplement:
-    def test_decoupled_blocks_unchanged(self):
-        m = np.zeros((5, 5))
-        m[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
-        m[2:, 2:] = np.eye(3) * 3.0
-        out = matrixkit.schur_complement(m, [0, 1], [2, 3, 4])
-        assert np.array_equal(out, m[:2, :2])
-
-    def test_symmetry_preserved(self):
-        rng = np.random.default_rng(7)
-        m = rng.uniform(-1, 1, (6, 6))
-        m = m + m.T + 6 * np.eye(6)
-        out = matrixkit.schur_complement(m, [0, 1, 2], [3, 4, 5])
-        assert np.abs(out - out.T).max() <= 1e-12
-
-    def test_star_center_elimination(self):
-        # Unit 4-spike star: boundary diag 1, center degree 4.
-        k = np.zeros((5, 5))
-        for b in range(4):
-            k[b, b] = 1.0
-            k[b, 4] = k[4, b] = -1.0
-        k[4, 4] = 4.0
-        out = matrixkit.schur_complement(k, range(4), [4])
-        oracle = k[:4, :4] - k[:4, 4:] @ np.linalg.solve(k[4:, 4:], k[4:, :4])
-        assert np.allclose(out, oracle, rtol=0, atol=1e-15)
-        assert np.allclose(out, 0.75 * np.eye(4) - 0.25 * (np.ones((4, 4)) - np.eye(4)),
-                           rtol=0, atol=1e-15)
-
-    def test_laplacian_row_sums_stay_zero(self):
-        rng = np.random.default_rng(21)
-        n = 7
-        w = rng.uniform(0.5, 2.0, (n, n))
-        w = np.triu(w, 1)
-        w = w + w.T
-        lap = np.diag(w.sum(axis=1)) - w
-        out = matrixkit.schur_complement(lap, [0, 1, 2], [3, 4, 5, 6])
-        assert np.abs(out.sum(axis=1)).max() <= 1e-12
-
-    def test_bad_partition_rejected(self):
-        with pytest.raises(ValueError):
-            matrixkit.schur_complement(np.eye(4), [0, 1], [1, 2, 3])
-        with pytest.raises(ValueError):
-            matrixkit.schur_complement(np.eye(4), [0], [2, 3])
-
-    def test_singular_eliminated_block(self):
-        m = np.eye(4)
-        m[2, 2] = m[3, 3] = 0.0
-        m[2, 3] = m[3, 2] = 0.0
-        with pytest.raises(SingularMatrixError):
-            matrixkit.schur_complement(m, [0, 1], [2, 3])
-
-    def test_empty_elimination(self):
-        m = np.arange(9.0).reshape(3, 3)
-        out = matrixkit.schur_complement(m, [0, 1, 2], [])
-        assert np.array_equal(out, m)
-
-
 class TestSymmetrize:
     def test_symmetric_unchanged(self):
         m = np.array([[1.0, 2.0], [2.0, 5.0]])
@@ -154,26 +75,6 @@ class TestSymmetrize:
         s = matrixkit.symmetrize_average(m)
         assert np.array_equal(s, s.T)
         assert np.array_equal(matrixkit.symmetrize_average(s), s)
-
-
-class TestConditionEstimate:
-    def test_identity(self):
-        assert matrixkit.condition_estimate(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_diagonal_ratio(self):
-        est = matrixkit.condition_estimate(np.diag([1.0, 1e6]))
-        assert est == pytest.approx(1e6, rel=1e-6)
-
-    def test_singular_reports_infinity(self):
-        assert matrixkit.condition_estimate([[1.0, 1.0], [1.0, 1.0]]) == math.inf
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_within_factor_ten_of_svd_oracle(self, seed):
-        a = np.random.default_rng(seed).uniform(-1, 1, (6, 6))
-        sv = np.linalg.svd(a, compute_uv=False)
-        oracle = sv[0] / sv[-1]
-        est = matrixkit.condition_estimate(a)
-        assert oracle / 10 <= est <= oracle * 10
 
 
 class TestCsv:

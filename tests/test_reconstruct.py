@@ -116,10 +116,10 @@ class TestTildeFaces:
 class TestExtraction:
     def test_unit_length2(self):
         ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(unit_lambda(2))))
-        assert ext.spikes == {b: pytest.approx(1.0, abs=1e-12) for b in range(1, 9)}
-        assert set(ext.edges) == {(1, 2), (3, 4), (5, 6), (7, 8)}
-        for value in ext.edges.values():
-            assert value == pytest.approx(1.0, abs=1e-12)
+        assert ext.spikes.shape == (8,)
+        assert ext.spikes == pytest.approx(np.ones(8), abs=1e-12)
+        assert ext.edges.shape == (4,)  # one per face: anchors (1,2), (3,4), (5,6), (7,8)
+        assert ext.edges == pytest.approx(np.ones(4), abs=1e-12)
         assert ext.flags == ()
 
     def test_uniform_scaling(self):
@@ -128,24 +128,23 @@ class TestExtraction:
         ext_scaled = extract_boundary_conductances(
             tilde_face_matrices(face_blocks(3.0 * lam))
         )
-        for key in ext.spikes:
-            assert ext_scaled.spikes[key] == pytest.approx(3.0 * ext.spikes[key], rel=1e-12)
-        for key in ext.edges:
-            assert ext_scaled.edges[key] == pytest.approx(3.0 * ext.edges[key], rel=1e-12)
+        assert ext_scaled.spikes == pytest.approx(3.0 * ext.spikes, rel=1e-12)
+        assert ext_scaled.edges == pytest.approx(3.0 * ext.edges, rel=1e-12)
 
     def test_random_length2_full_match(self):
         net, lam = random_lambda(2, 123)
         ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
         for b in range(1, 9):
-            assert ext.spikes[b] == pytest.approx(net.values[EdgeId.spike(b)], rel=1e-10)
-        tangential = {
-            (1, 2): EdgeId.horizontal(1, 1),
-            (3, 4): EdgeId.vertical(1, 2),
-            (5, 6): EdgeId.horizontal(2, 1),
-            (7, 8): EdgeId.vertical(1, 1),
-        }
-        for pair, edge in tangential.items():
-            assert ext.edges[pair] == pytest.approx(net.values[edge], rel=1e-10)
+            assert ext.spikes[b - 1] == pytest.approx(net.values[EdgeId.spike(b)], rel=1e-10)
+        # At length 2 each face has one tangential edge, between its anchors 1 and 2.
+        tangential = [
+            EdgeId.horizontal(1, 1),  # N, boundary indices (1, 2)
+            EdgeId.vertical(1, 2),    # E, (3, 4)
+            EdgeId.horizontal(2, 1),  # S, (5, 6)
+            EdgeId.vertical(1, 1),    # W, (7, 8)
+        ]
+        for f, edge in enumerate(tangential):
+            assert ext.edges[f] == pytest.approx(net.values[edge], rel=1e-10)
 
     def test_nonpositive_estimates_flagged_not_clamped(self):
         lam = unit_lambda(2)
@@ -153,9 +152,11 @@ class TestExtraction:
         bad = lam.copy()
         bad[0, 0] = -0.3
         ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(bad)))
-        negative = [v for v in ext.spikes.values() if v <= 0]
+        negative = [v for v in ext.spikes if v <= 0]
         assert negative
-        assert ext.flags
+        assert ext.spikes[0] <= 0
+        assert ext.flags[0] == f"spike 1: nonpositive estimate {float(ext.spikes[0])!r}"
+        assert ext.flags[1] == f"edge (1, 2): nonpositive estimate {float(ext.edges[0])!r}"
 
 
 class TestSpikeRemoval:
@@ -321,8 +322,8 @@ class TestPeel:
     def test_wrong_extraction_warns_and_hard_limit_raises(self):
         net, lam = random_lambda(4, 15)
         ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
-        bad_spikes = dict(ext.spikes)
-        bad_spikes[2] = bad_spikes[2] * 1.5
+        bad_spikes = ext.spikes.copy()
+        bad_spikes[1] = bad_spikes[1] * 1.5  # boundary index 2
         bad = type(ext)(length=ext.length, spikes=bad_spikes, edges=ext.edges)
         state = PeelState.initial(net.spec, lam)
         with pytest.warns(RuntimeWarning):
@@ -337,8 +338,8 @@ class TestPeel:
         # is zero and only its condition number refuses it.
         m = 3
         lam = np.ones((4 * m, 4 * m)) + 2.0 * np.eye(4 * m)
-        spikes = {b: 2.0 - slack for b in range(1, 4 * m + 1)}
-        edges = {(f * m + j, f * m + j + 1): 1.0 for f in range(4) for j in range(1, m)}
+        spikes = np.full(4 * m, 2.0 - slack)
+        edges = np.ones(4 * (m - 1))
         ext = PeelExtraction(length=m, spikes=spikes, edges=edges)
         with pytest.raises(DegenerateDeltaError):
             peel_layer(PeelState.initial(build_lattice(m), lam), ext)
