@@ -489,12 +489,6 @@ def _remove_ring(lam: np.ndarray, values: np.ndarray) -> np.ndarray:
     plan = _ring_plan(lam.shape[0] // 4)
     ns = plan.n_spikes
     gamma = values[plan.order[:ns]]
-    bad = np.flatnonzero(~(np.isfinite(gamma) & (gamma > 0)))
-    if bad.size:
-        node = int(plan.order[bad[0]]) + 1
-        raise InvalidConductanceError(
-            f"spike {node}: conductance must be positive, got {float(gamma[bad[0]])!r}"
-        )
     a = lam.take(plan.order, axis=0).take(plan.order, axis=1)  # S first, then R
     diag_gamma = np.diag(gamma)
     d = a[:ns, :ns] - diag_gamma
@@ -539,8 +533,8 @@ def peel_layer(
     under noise the "zero" rows are merely small.
 
     Raises:
-        InvalidConductanceError: a spike to remove is nonpositive or not
-            finite.
+        InvalidConductanceError: any of the layer's spikes is nonpositive
+            or not finite, whichever rule would remove it.
         DegenerateDeltaError: the spikes are inconsistent with the matrix.
         ResidualTooLargeError: only when ``residual_limit`` is given and
             exceeded; by default large residuals warn and proceed.
@@ -551,6 +545,14 @@ def peel_layer(
     if extraction.length != m:
         raise DimensionMismatchError(
             f"extraction is for length {extraction.length}, state has {m}"
+        )
+    # Checked over all 4m spikes: a corner partner is removed by the additive
+    # edge rule, which would accept a nonpositive value without complaint.
+    spikes = extraction.spikes
+    bad = np.flatnonzero(~(np.isfinite(spikes) & (spikes > 0)))
+    if bad.size:
+        raise InvalidConductanceError(
+            f"spike {int(bad[0]) + 1}: conductance must be positive, got {float(spikes[bad[0]])!r}"
         )
     if schedule is None:
         stripped = _remove_ring(

@@ -116,7 +116,9 @@ class TestSizeSweep:
     def test_parallel_matches_sequential(self):
         sweeps = [
             lambda workers: run_size_sweep([2, 3], trials=6, seed=5, workers=workers),
-            lambda workers: run_noise_sweep([3, 7], [1e-6, 1e-3], trials=6, seed=5, workers=workers),
+            lambda workers: run_noise_sweep(
+                [3, 7], [1e-6, 1e-3], trials=6, seed=5, workers=workers
+            ),
         ]
         for sweep in sweeps:
             seq, par = sweep(None), sweep(2)

@@ -437,11 +437,14 @@ class TestReconstructFull:
             reconstruct_full(np.eye(8), 2)
         assert "layer 0" in str(err.value)
 
-    def test_nonpositive_ring1_spike_refused(self):
+    @pytest.mark.parametrize("j", [2, 4])
+    def test_nonpositive_ring1_spike_refused(self, j):
         # A negative ring-1 spike is read off exactly once ring 0 is gone.
+        # j=4 is a deferred corner partner, removed by the additive edge
+        # rule rather than the spike rule; it must be refused all the same.
         spec = build_lattice(5)
         values = {e: 1.0 for e in spec.edges}
-        values[layer_spike_edge(spec, 1, 2)] = -0.5
+        values[layer_spike_edge(spec, 1, j)] = -0.5
         lam = response_matrix(ConductanceMap(spec, values, check_values=False))
         with pytest.raises(InvalidConductanceError) as err:
             reconstruct_full(lam, 5)
