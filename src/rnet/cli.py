@@ -242,28 +242,19 @@ def sweep():
     """Seeded accuracy / noise / timing studies (CSV)."""
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 @sweep.command("size")
 @click.option("--k-range", default="4:14:2", show_default=True, help="Lengths lo:hi[:step].")
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--resistance-range", default="1:2", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=int, default=None,
-              help="Worker processes (default: logical cores).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @format_option
 @handles_errors
-def sweep_size(k_range, trials, resistance_range, seed, workers, out, fmt):
+def sweep_size(k_range, trials, resistance_range, seed, out, fmt):
     """Reconstruction error and time vs. network length."""
     _check_format(fmt, "csv")
     lo, hi = _parse_range_pair(resistance_range)
-    result = experiments.run_size_sweep(
-        _parse_k_range(k_range), trials, lo, hi, seed=seed,
-        workers=workers if workers is not None else _default_workers(),
-    )
+    result = experiments.run_size_sweep(_parse_k_range(k_range), trials, lo, hi, seed=seed)
     _write_output(out, experiments.sweep_to_csv(result))
 
 
@@ -272,17 +263,14 @@ def sweep_size(k_range, trials, resistance_range, seed, workers, out, fmt):
 @click.option("--sigma-list", required=True, help="Noise levels, comma-separated.")
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=int, default=None,
-              help="Worker processes (default: logical cores).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @format_option
 @handles_errors
-def sweep_noise(k_list, sigma_list, trials, seed, workers, out, fmt):
+def sweep_noise(k_list, sigma_list, trials, seed, out, fmt):
     """Reconstruction error vs. multiplicative noise level."""
     _check_format(fmt, "csv")
     result = experiments.run_noise_sweep(
-        _parse_int_list(k_list), _parse_float_list(sigma_list), trials, seed=seed,
-        workers=workers if workers is not None else _default_workers(),
+        _parse_int_list(k_list), _parse_float_list(sigma_list), trials, seed=seed
     )
     _write_output(out, experiments.sweep_to_csv(result))
 

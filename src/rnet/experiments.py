@@ -1,10 +1,13 @@
 """Seeded accuracy, noise-sensitivity and timing sweeps with CSV output.
 
 Every sweep derives one independent RNG stream per (parameter point,
-trial) from the master seed, so results are reproducible bit-for-bit and
-independent of worker scheduling.  Network generation streams are keyed
-by (k, trial) only, which makes the sigma=0 column of a noise sweep
-reproduce the noise-free sweep exactly.
+trial) from the master seed, so results are reproducible bit-for-bit.
+Network generation streams are keyed by (k, trial) only, which makes the
+sigma=0 column of a noise sweep reproduce the noise-free sweep exactly.
+
+A row is one stacked computation: its networks are drawn as one
+``(trials, E)`` array, forward-solved together and peeled together, and
+each trial gives the same bits as the per-network API would.
 """
 
 from __future__ import annotations
@@ -13,18 +16,21 @@ import csv
 import io
 import math
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import RnetError, SpecMismatchError
-from .lattice import ConductanceMap, build_lattice, random_conductances, response_matrix
+from .errors import SpecMismatchError
+from .lattice import (
+    ConductanceMap,
+    ResponseMatrix,
+    _kirchhoff_stack,
+    _random_conductance_array,
+    _response_stack,
+)
 from .measure_sim import apply_elementwise_noise
-from .reconstruct import ReconstructionResult, reconstruct_full
+from .reconstruct import ReconstructionResult, _peel_stack, _resistance_array
 
 # Seed-derivation domains (first spawn_key component).
 _DOMAIN_NETWORK = 0
@@ -47,10 +53,14 @@ def rmse_metrics(truth: ConductanceMap, recon: ReconstructionResult) -> ErrorMet
         )
     true_r = np.array([1.0 / truth.values[e] for e in truth.spec.edges])
     recon_r = np.array([recon.resistances[e] for e in truth.spec.edges])
+    rmse, rel = _resistance_errors(true_r, recon_r)
+    return ErrorMetrics(rmse=float(rmse), rel_rmse=float(rel))
+
+
+def _resistance_errors(true_r: np.ndarray, recon_r: np.ndarray):
+    """Resistance RMSE and relative RMSE along the last axis."""
     diff = recon_r - true_r
-    rmse = float(np.sqrt(np.mean(diff**2)))
-    rel = float(np.sqrt(np.mean((diff / true_r) ** 2)))
-    return ErrorMetrics(rmse=rmse, rel_rmse=rel)
+    return np.sqrt(np.mean(diff**2, axis=-1)), np.sqrt(np.mean((diff / true_r) ** 2, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -82,67 +92,62 @@ def _noise_seed(seed: int, k: int, sigma_index: int, trial: int) -> np.random.Se
     )
 
 
-@contextmanager
-def _quiet_diagnostics():
-    # Residual/asymmetry warnings are routine in noisy or deep sweeps; the
-    # per-trial outcome (metrics or failure) is what the sweep records.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        yield
+def _spread(x: np.ndarray) -> float:
+    return float(np.std(x, ddof=1)) if x.size > 1 else 0.0
 
 
-def _trial(args) -> tuple[float, float, float, bool]:
-    """One seeded trial, noisy when ``sigma > 0``: ``(rmse, rel_rmse, ms, failed)``."""
-    k, seed, lo, hi, sigma, sigma_index, trial = args
-    spec = build_lattice(k)
-    rng = np.random.default_rng(_network_seed(seed, k, trial))
-    net = random_conductances(spec, rng, lo, hi)
-    lam = response_matrix(net)
+def _run_row(
+    param: str,
+    k: int,
+    trials: int,
+    seed: int,
+    bounds: tuple[float, float] = (1.0, 2.0),
+    sigma: float = 0.0,
+    sigma_index: int = 0,
+    one_per_peel: bool = False,
+) -> SweepRow:
+    """One sweep row: draw, forward-solve and (when ``sigma > 0``) corrupt every trial.
+
+    A discarded peel of the first trial warms up, then the whole stack is
+    peeled in one pass and timed as a whole, or, with ``one_per_peel``, one
+    trial per pass and timed per trial.  Trials refused by the solver or
+    with non-finite metrics are counted as failures and excluded.
+    """
+    n_edges = 2 * k * k + 2 * k
+    rngs = [np.random.default_rng(_network_seed(seed, k, t)) for t in range(trials)]
+    g = np.stack([_random_conductance_array(n_edges, rng, *bounds) for rng in rngs])
+    lam = _response_stack(_kirchhoff_stack(g, k), k)
     if sigma > 0:
-        lam = apply_elementwise_noise(lam, sigma, _noise_seed(seed, k, sigma_index, trial))
-    t0 = time.perf_counter()
-    try:
-        with _quiet_diagnostics():
-            recon = reconstruct_full(lam, k)
-    except RnetError:
-        return (math.nan, math.nan, (time.perf_counter() - t0) * 1000.0, True)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    metrics = rmse_metrics(net, recon)
-    failed = not (math.isfinite(metrics.rmse) and math.isfinite(metrics.rel_rmse))
-    return (metrics.rmse, metrics.rel_rmse, elapsed, failed)
-
-
-def _aggregate(param: str, trials: int, outcomes: Sequence[tuple]) -> SweepRow:
-    ok = [(r, rel, ms) for r, rel, ms, failed in outcomes if not failed]
-    failures = trials - len(ok)
-    if ok:
-        rmse = np.array([r for r, _, _ in ok])
-        rel = np.array([x for _, x, _ in ok])
-        ms = np.array([t for _, _, t in ok])
-        rmse_std = float(np.std(rmse, ddof=1)) if len(ok) > 1 else 0.0
-        ms_std = float(np.std(ms, ddof=1)) if len(ok) > 1 else 0.0
-        return SweepRow(
-            param=param,
-            trials=trials,
-            rmse_mean=float(np.mean(rmse)),
-            rmse_std=rmse_std,
-            rel_rmse_mean=float(np.mean(rel)),
-            time_ms_mean=float(np.mean(ms)),
-            time_ms_std=ms_std,
-            failures=failures,
+        seeds = [_noise_seed(seed, k, sigma_index, t) for t in range(trials)]
+        lam = np.stack(
+            [
+                apply_elementwise_noise(ResponseMatrix(item), sigma, item_seed).entries
+                for item, item_seed in zip(lam, seeds)
+            ]
         )
-    return SweepRow(param, trials, math.nan, math.nan, math.nan, math.nan, math.nan, failures)
-
-
-def _run_row(param: str, args_list: list[tuple], workers: int | None) -> SweepRow:
-    """One sweep row: a discarded warm-up on the first trial, then every trial."""
-    _trial(args_list[0])
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial, args_list, chunksize=4))
+    _peel_stack(lam[:1], k)
+    if one_per_peel:
+        ms, peels = np.empty(trials), []
+        for t in range(trials):
+            t0 = time.perf_counter()
+            peels.append(_peel_stack(lam[t : t + 1], k))
+            ms[t] = (time.perf_counter() - t0) * 1000.0
+        recon = np.concatenate([peel[0] for peel in peels])
+        refusals = [peel[1][0] for peel in peels]
     else:
-        outcomes = [_trial(args) for args in args_list]
-    return _aggregate(param, len(args_list), outcomes)
+        t0 = time.perf_counter()
+        recon, refusals, _ = _peel_stack(lam, k)
+        row_ms = (time.perf_counter() - t0) * 1000.0 / trials
+    rmse, rel = _resistance_errors(1.0 / g, _resistance_array(recon))
+    ok = np.array([r is None for r in refusals]) & np.isfinite(rmse) & np.isfinite(rel)
+    if not ok.any():
+        return SweepRow(param, trials, *[math.nan] * 5, trials)
+    time_ms = (float(np.mean(ms[ok])), _spread(ms[ok])) if one_per_peel else (row_ms, 0.0)
+    rmse, rel = rmse[ok], rel[ok]
+    return SweepRow(
+        param, trials, float(np.mean(rmse)), _spread(rmse), float(np.mean(rel)), *time_ms,
+        trials - rmse.size,
+    )
 
 
 def run_size_sweep(
@@ -156,21 +161,17 @@ def run_size_sweep(
     """Noise-free reconstruction error and wall time per network length.
 
     Per trial: draw i.i.d. uniform resistances, compute the exact response
-    matrix, reconstruct, and record the resistance RMSE and the
-    reconstruction wall time.  Trials that raise a solver error, or whose
-    metrics come out non-finite, are counted as failures and excluded from
-    the means; the sweep itself never aborts.
+    matrix, reconstruct, and record the resistance RMSE.  A row's time
+    columns are its one stacked peel's wall time divided by ``trials``
+    (spread 0).  Trials that raise a solver error, or whose metrics come
+    out non-finite, are counted as failures and excluded from the means;
+    the sweep itself never aborts.  ``workers`` is accepted for existing
+    callers and ignored: every row runs in this process.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rows = [
-        _run_row(
-            str(k),
-            [(k, seed, resistance_low, resistance_high, 0.0, 0, t) for t in range(trials)],
-            workers,
-        )
-        for k in k_values
-    ]
+    bounds = (resistance_low, resistance_high)
+    rows = [_run_row(str(k), k, trials, seed, bounds) for k in k_values]
     config = {
         "sweep": "size",
         "k_values": ",".join(str(k) for k in k_values),
@@ -192,7 +193,8 @@ def run_noise_sweep(
 
     One row per ``(k, sigma)`` pair, with the param column written as
     ``<k>:<sigma>``.  Networks are generated exactly as in the size sweep,
-    then corrupted entrywise and symmetrized before reconstruction.
+    then corrupted entrywise and symmetrized before reconstruction.  Time
+    columns and ``workers`` as in :func:`run_size_sweep`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -200,11 +202,7 @@ def run_noise_sweep(
         if not (math.isfinite(s) and s >= 0):
             raise ValueError(f"sigma must be >= 0, got {s!r}")
     rows = [
-        _run_row(
-            f"{k}:{sigma:g}",
-            [(k, seed, 1.0, 2.0, sigma, s_idx, t) for t in range(trials)],
-            workers,
-        )
+        _run_row(f"{k}:{sigma:g}", k, trials, seed, sigma=sigma, sigma_index=s_idx)
         for k in k_values
         for s_idx, sigma in enumerate(sigmas)
     ]
@@ -225,15 +223,13 @@ def run_timing_profile(
 ) -> SweepResult:
     """Wall time of reconstruction alone, per network length.
 
-    Always runs sequentially: trial times would be polluted by scheduling
-    under a worker pool.  One warm-up trial per length is discarded.
+    Unlike the other sweeps, each trial is peeled on its own and timed on
+    its own, so the time columns are the mean and spread of single
+    reconstructions.  One warm-up peel per length is discarded.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rows = [
-        _run_row(str(k), [(k, seed, 1.0, 2.0, 0.0, 0, t) for t in range(trials)], None)
-        for k in k_values
-    ]
+    rows = [_run_row(str(k), k, trials, seed, one_per_peel=True) for k in k_values]
     config = {
         "sweep": "timing",
         "k_values": ",".join(str(k) for k in k_values),

@@ -225,10 +225,17 @@ def random_conductances(
     resistance_high: float = 2.0,
 ) -> ConductanceMap:
     """Network with i.i.d. uniform resistances, drawn in catalog order."""
+    g = _random_conductance_array(spec.n_edges, rng, resistance_low, resistance_high)
+    return ConductanceMap(spec, dict(zip(spec.edges, g)))
+
+
+def _random_conductance_array(
+    n_edges: int, rng: np.random.Generator, resistance_low: float, resistance_high: float
+) -> np.ndarray:
+    """Catalog-ordered conductances of one network: the draw behind every random network."""
     if not 0 < resistance_low <= resistance_high:
         raise ValueError("need 0 < resistance_low <= resistance_high")
-    resist = rng.uniform(resistance_low, resistance_high, size=spec.n_edges)
-    return ConductanceMap(spec, {e: 1.0 / r for e, r in zip(spec.edges, resist)})
+    return 1.0 / rng.uniform(resistance_low, resistance_high, size=n_edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,27 +288,34 @@ def _kirchhoff_plan(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, signs
 
 
-def build_kirchhoff(net: ConductanceMap) -> np.ndarray:
-    """Conductance-weighted graph Laplacian over boundary then interior nodes."""
-    spec = net.spec
-    n = spec.n_nodes
-    g = np.fromiter((net.values[e] for e in spec.edges), dtype=np.float64, count=spec.n_edges)
-    rows, cols, signs = _kirchhoff_plan(spec.length)
-    kirchhoff = np.zeros((n, n))
-    np.add.at(kirchhoff, (rows, cols), np.repeat(g, 4) * signs)
+def _kirchhoff_stack(g: np.ndarray, k: int) -> np.ndarray:
+    """Kirchhoff matrices of a ``(B, E)`` stack of catalog-ordered conductances."""
+    rows, cols, signs = _kirchhoff_plan(k)
+    n = 4 * k + k * k
+    kirchhoff = np.zeros((len(g), n, n))
+    batch = np.arange(len(g))[:, None]
+    np.add.at(kirchhoff, (batch, rows, cols), np.repeat(g, 4, axis=1) * signs)
     return kirchhoff
 
 
+def build_kirchhoff(net: ConductanceMap) -> np.ndarray:
+    """Conductance-weighted graph Laplacian over boundary then interior nodes."""
+    spec = net.spec
+    g = np.fromiter((net.values[e] for e in spec.edges), dtype=np.float64, count=spec.n_edges)
+    return _kirchhoff_stack(g[None], spec.length)[0]
+
+
 def _eliminate_interior(kirchhoff: np.ndarray, k: int):
-    """Schur complement of the Kirchhoff matrix onto the boundary.
+    """Schur complements of a ``(B, n, n)`` Kirchhoff stack onto the boundary.
 
     The interior is block tridiagonal in grid rows, so it is eliminated one
-    row at a time: each step solves one ``k``-by-``k`` system against the
-    row's coupling to the boundary (with the fill-in of earlier rows) and
-    to the next row.  Every LAPACK call stays this small, which keeps the
-    result independent of the BLAS thread count.
+    row at a time: each step solves one ``k``-by-``k`` system per item
+    against the row's coupling to the boundary (with the fill-in of earlier
+    rows) and to the next row.  Every LAPACK call stays this small, which
+    keeps the result independent of the BLAS thread count and of the
+    stack it sits in.
 
-    Returns the (unsymmetrized) response matrix and, per grid row, the
+    Returns the (unsymmetrized) response matrices and, per grid row, the
     solved couplings ``(x_b, x_c)`` from which interior potentials follow
     by back substitution: ``phi_r = -(x_b @ u + x_c @ phi_{r+1})``.
 
@@ -310,24 +324,31 @@ def _eliminate_interior(kirchhoff: np.ndarray, k: int):
     """
     nb = 4 * k
     rows = [slice(nb + r * k, nb + (r + 1) * k) for r in range(k + 1)]
-    lam = kirchhoff[:nb, :nb].copy()
-    m_br, m_rb, m_rr = kirchhoff[:nb, rows[0]], kirchhoff[rows[0], :nb], kirchhoff[rows[0], rows[0]]
+    lam = kirchhoff[:, :nb, :nb].copy()
+    m_br, m_rb = kirchhoff[:, :nb, rows[0]], kirchhoff[:, rows[0], :nb]
+    m_rr = kirchhoff[:, rows[0], rows[0]]
     steps = []
     for r in range(k):
         cur, nxt = rows[r], rows[r + 1]
-        coupling = kirchhoff[cur, nxt]  # k-by-0 after the last row
+        coupling = kirchhoff[:, cur, nxt]  # k-by-0 after the last row
         try:
-            x = np.linalg.solve(m_rr, np.concatenate([m_rb, coupling], axis=1))
+            x = np.linalg.solve(m_rr, np.concatenate([m_rb, coupling], axis=2))
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"interior row {r + 1}: {exc}") from None
-        x_b, x_c = x[:, :nb], x[:, nb:]
+        x_b, x_c = x[:, :, :nb], x[:, :, nb:]
         steps.append((x_b, x_c))
         lam -= m_br @ x_b
-        back = kirchhoff[nxt, cur]
-        m_br = kirchhoff[:nb, nxt] - m_br @ x_c
-        m_rb = kirchhoff[nxt, :nb] - back @ x_b
-        m_rr = kirchhoff[nxt, nxt] - back @ x_c
+        back = kirchhoff[:, nxt, cur]
+        m_br = kirchhoff[:, :nb, nxt] - m_br @ x_c
+        m_rb = kirchhoff[:, nxt, :nb] - back @ x_b
+        m_rr = kirchhoff[:, nxt, nxt] - back @ x_c
     return lam, steps
+
+
+def _response_stack(kirchhoff: np.ndarray, k: int) -> np.ndarray:
+    """Exactly symmetric response matrices of a ``(B, n, n)`` Kirchhoff stack."""
+    lam, _ = _eliminate_interior(kirchhoff, k)
+    return (lam + lam.swapaxes(1, 2)) / 2.0
 
 
 def response_matrix(net: ConductanceMap) -> ResponseMatrix:
@@ -336,8 +357,7 @@ def response_matrix(net: ConductanceMap) -> ResponseMatrix:
     The analytic result is symmetric; the returned matrix is symmetrized
     so that it is exactly so.
     """
-    lam, _ = _eliminate_interior(build_kirchhoff(net), net.spec.length)
-    return ResponseMatrix(matrixkit.symmetrize_average(lam))
+    return ResponseMatrix(_response_stack(build_kirchhoff(net)[None], net.spec.length)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,12 +381,12 @@ def forward_boundary_solve(net: ConductanceMap, voltages) -> BoundaryResponse:
     u = np.asarray(voltages, dtype=np.float64)
     if u.shape != (spec.n_boundary,):
         raise ValueError(f"expected {spec.n_boundary} boundary voltages, got shape {u.shape}")
-    lam, steps = _eliminate_interior(build_kirchhoff(net), spec.length)
-    currents = matrixkit.symmetrize_average(lam) @ u
+    lam, steps = _eliminate_interior(build_kirchhoff(net)[None], spec.length)
+    currents = matrixkit.symmetrize_average(lam[0]) @ u
     potentials = []
     below = np.zeros(0)
     for x_b, x_c in reversed(steps):
-        below = -(x_b @ u + x_c @ below)
+        below = -(x_b[0] @ u + x_c[0] @ below)
         potentials.append(below)
     interior = np.concatenate(potentials[::-1])
     return BoundaryResponse(currents=currents, interior_potentials=interior)

@@ -19,8 +19,10 @@ One pass over the current boundary works in three moves:
    columns leaves the response matrix of the length ``k-2`` sub-network.
    Repeat until nothing is left.
 
-Boundary indices in this module are 1-based, matching the lattice
-numbering; array storage is 0-based internally.
+Every stage works on a ``(B, 4m, 4m)`` stack of response matrices, and an
+item leaves the stack at its first refusal; ``reconstruct_full`` and the
+public stage functions are the B=1 case.  Boundary indices in this module
+are 1-based, matching the lattice numbering; array storage is 0-based.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (
     InvalidConductanceError,
     NetworkFormatError,
     ResidualTooLargeError,
+    RnetError,
     SingularBlockError,
     ZeroDivisorError,
     annotate_layer,
@@ -110,21 +113,63 @@ class FaceTildeSet:
         return self.matrices[face]
 
 
-# For each face: (coupling to the adjacent face, opposite-face block to
-# invert, continuation back to this face).
+# For each face: its own block, the coupling to the adjacent face, the
+# opposite-face block to invert and the continuation back to this face.
 _TILDE_RECIPE = {
-    "N": (("N", "E"), ("W", "E"), ("W", "N")),
-    "E": (("E", "N"), ("S", "N"), ("S", "E")),
-    "S": (("S", "W"), ("E", "W"), ("E", "S")),
-    "W": (("W", "S"), ("N", "S"), ("N", "W")),
+    "N": ("NN", "NE", "WE", "WN"),
+    "E": ("EE", "EN", "SN", "SE"),
+    "S": ("SS", "SW", "EW", "ES"),
+    "W": ("WW", "WS", "NS", "NW"),
 }
+# Face indices (rows, then columns) of those blocks, part by part and face by face.
+_PART_ROWS, _PART_COLS = (
+    np.array([[FACES.index(_TILDE_RECIPE[f][p][end]) for f in FACES] for p in range(4)])
+    for end in (0, 1)
+)
 
 
-def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _first_flags(bad: np.ndarray) -> dict[int, int]:
+    """Each item of ``bad`` ``(A, ...)`` with a flag, and the flat index of its first."""
+    if not bad.any():
+        return {}
+    rows = bad.reshape(len(bad), -1)
+    return {i: int(np.argmax(rows[i])) for i in np.flatnonzero(rows.any(axis=1)).tolist()}
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` over a stack, with NaN for an exactly singular item."""
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        return np.full(b.shape, np.nan)
+        if a.ndim == 2:
+            return np.full(b.shape, np.nan)
+        # An exactly zero pivot somewhere: solve item by item to find it.
+        return np.stack([_solve_stack(a_i, b_i) for a_i, b_i in zip(a, b)])
+
+
+def _tilde_stack(lam: np.ndarray):
+    """Face reductions ``(A, 4, m, m)`` of a ``(A, 4m, 4m)`` stack.
+
+    Also returns the opposite blocks' condition numbers ``(A, 4)`` and the
+    refusal of each item whose opposite block is ill-conditioned.
+    """
+    n_items, m = len(lam), lam.shape[1] // 4
+    blocks = lam.reshape(n_items, 4, m, 4, m).swapaxes(2, 3)  # [item, f, g] is block (f, g)
+    own, coupling, opposite, continuation = blocks[:, _PART_ROWS, _PART_COLS].swapaxes(0, 1)
+    rhs = np.empty(continuation.shape[:-1] + (2 * m,))
+    rhs[..., :m], rhs[..., m:] = continuation, np.eye(m)
+    x = _solve_stack(opposite, rhs)
+    norm = np.abs(opposite).sum(axis=3).max(axis=2)
+    cond = norm * np.abs(x[..., m:]).sum(axis=3).max(axis=2)
+    errors = {
+        i: SingularBlockError(
+            f"opposite-face block {_TILDE_RECIPE[FACES[f]][2]} is singular: "
+            f"condition {cond[i, f]:.3e} at or above {1.0 / matrixkit.PIVOT_FLOOR:.0e}",
+            face=FACES[f],
+        )
+        for i, f in _first_flags(~(cond < 1.0 / matrixkit.PIVOT_FLOOR)).items()
+    }
+    return own - coupling @ x[..., :m], cond, errors
 
 
 def tilde_face_matrices(blocks: FaceBlocks) -> FaceTildeSet:
@@ -139,30 +184,11 @@ def tilde_face_matrices(blocks: FaceBlocks) -> FaceTildeSet:
             reaches ``1 / matrixkit.PIVOT_FLOOR``, which signals a
             degenerate or overly noisy response matrix.
     """
-    m = blocks.length
-    opposite = np.stack([blocks[_TILDE_RECIPE[face][1]] for face in FACES])
-    continuation = np.stack([blocks[_TILDE_RECIPE[face][2]] for face in FACES])
-    rhs = np.concatenate([continuation, np.broadcast_to(np.eye(m), (4, m, m))], axis=2)
-    try:
-        x = np.linalg.solve(opposite, rhs)
-    except np.linalg.LinAlgError:
-        # An exactly zero pivot somewhere: solve face by face to find it.
-        x = np.stack([_solve_or_nan(a, b) for a, b in zip(opposite, rhs)])
-    norm = np.abs(opposite).sum(axis=2).max(axis=1)
-    cond = norm * np.abs(x[:, :, m:]).sum(axis=2).max(axis=1)
-    matrices: dict[str, np.ndarray] = {}
-    condition: dict[str, float] = {}
-    for idx, face in enumerate(FACES):
-        ab, inv_block, _ = _TILDE_RECIPE[face]
-        if not cond[idx] < 1.0 / matrixkit.PIVOT_FLOOR:
-            raise SingularBlockError(
-                f"opposite-face block {inv_block[0]}{inv_block[1]} is singular: "
-                f"condition {cond[idx]:.3e} at or above {1.0 / matrixkit.PIVOT_FLOOR:.0e}",
-                face=face,
-            )
-        matrices[face] = blocks[(face, face)] - blocks[ab] @ x[idx, :, :m]
-        condition[face] = float(cond[idx])
-    return FaceTildeSet(length=m, matrices=matrices, condition=condition)
+    tilde, cond, errors = _tilde_stack(blocks.assemble()[None])
+    if errors:
+        raise errors[0]
+    condition = dict(zip(FACES, cond[0].tolist()))
+    return FaceTildeSet(blocks.length, dict(zip(FACES, tilde[0])), condition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +215,46 @@ class PeelExtraction:
 # and use the superdiagonal.  (The opposite triangle is identically zero
 # for exact data: verified per face against the forward model on unit and
 # random networks.)
-_EDGE_DIVISOR_IS_SUBDIAGONAL = {"N": True, "E": False, "S": True, "W": False}
+_EDGE_DIVISOR_IS_SUBDIAGONAL = np.array([True, False, True, False])  # N, E, S, W
+
+
+def _extract_stack(tilde: np.ndarray):
+    """Spike and edge estimates ``(A, 8m - 4)`` of a ``(A, 4, m, m)`` stack of reductions.
+
+    The values are in ``PeelExtraction`` order, spikes then edges.  Also
+    returns the refusal of each item with a vanishing edge divisor.
+    """
+    n_items, m = len(tilde), tilde.shape[-1]
+    spikes = np.diagonal(tilde, axis1=2, axis2=3)
+    divisor = np.where(
+        _EDGE_DIVISOR_IS_SUBDIAGONAL[:, None],
+        np.diagonal(tilde, offset=-1, axis1=2, axis2=3),
+        np.diagonal(tilde, offset=1, axis1=2, axis2=3),
+    )
+    product = spikes[..., :-1] * spikes[..., 1:]
+    too_small = (divisor == 0.0) | (np.abs(divisor) < DIVISOR_FLOOR * np.abs(product))
+    errors = {}
+    for i, flat in _first_flags(too_small).items():
+        f, j = divmod(flat, m - 1)
+        errors[i] = ZeroDivisorError(
+            f"face {FACES[f]} edge {(f * m + j + 1, f * m + j + 2)}: divisor "
+            f"{float(divisor[i, f, j])!r} too small for spike product {float(product[i, f, j])!r}"
+        )
+    edges = (product / divisor).reshape(n_items, 4 * m - 4)
+    return np.concatenate([spikes.reshape(n_items, 4 * m), edges], axis=1), errors
+
+
+def _flag_texts(m: int, values: np.ndarray) -> tuple[str, ...]:
+    """One layer's nonpositive or non-finite estimates, face by face, spikes first."""
+    found = []
+    for p in np.flatnonzero(~(np.isfinite(values) & (values > 0))).tolist():
+        if p < 4 * m:
+            key, what = (p // m, 0, p), f"spike {p + 1}"
+        else:
+            f, j = divmod(p - 4 * m, m - 1)
+            key, what = (f, 1, p), f"edge {(f * m + j + 1, f * m + j + 2)}"
+        found.append((key, f"{what}: nonpositive estimate {float(values[p])!r}"))
+    return tuple(text for _, text in sorted(found))
 
 
 def extract_boundary_conductances(tilde: FaceTildeSet) -> PeelExtraction:
@@ -201,33 +266,10 @@ def extract_boundary_conductances(tilde: FaceTildeSet) -> PeelExtraction:
     (``[j+1, j]`` for faces N and S, ``[j, j+1]`` for E and W).
     """
     m = tilde.length
-    spikes: list[float] = []
-    edges: list[float] = []
-    flags: list[str] = []
-    for offset, face in zip(range(0, 4 * m, m), FACES):
-        t = tilde.matrices[face]
-        lower = _EDGE_DIVISOR_IS_SUBDIAGONAL[face]
-        for j in range(1, m + 1):
-            gamma = float(t[j - 1, j - 1])
-            spikes.append(gamma)
-            if not (math.isfinite(gamma) and gamma > 0):
-                flags.append(f"spike {offset + j}: nonpositive estimate {gamma!r}")
-        for j in range(1, m):
-            pair = (offset + j, offset + j + 1)
-            product = spikes[offset + j - 1] * spikes[offset + j]
-            divisor = float(t[j, j - 1]) if lower else float(t[j - 1, j])
-            if divisor == 0.0 or abs(divisor) < DIVISOR_FLOOR * abs(product):
-                raise ZeroDivisorError(
-                    f"face {face} edge {pair}: divisor {divisor!r} too small "
-                    f"for spike product {product!r}"
-                )
-            gamma_p = product / divisor
-            edges.append(gamma_p)
-            if not (math.isfinite(gamma_p) and gamma_p > 0):
-                flags.append(f"edge {pair}: nonpositive estimate {gamma_p!r}")
-    return PeelExtraction(
-        length=m, spikes=np.array(spikes), edges=np.array(edges), flags=tuple(flags)
-    )
+    values, errors = _extract_stack(np.stack([tilde.matrices[f] for f in FACES])[None])
+    if errors:
+        raise errors[0]
+    return PeelExtraction(m, values[0, : 4 * m], values[0, 4 * m :], _flag_texts(m, values[0]))
 
 
 def apply_spike_removal(lam, node: int, gamma: float) -> np.ndarray:
@@ -477,42 +519,85 @@ def _ring_plan(m: int) -> _RingPlan:
     return plan
 
 
-def _remove_ring(lam: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """All canonical removals of one layer as one block update.
+def _spike_refusals(spikes: np.ndarray) -> dict[int, RnetError]:
+    """Refusal of each item of a ``(A, 4m)`` stack with a nonpositive or non-finite spike.
 
-    ``values`` is the layer's spikes followed by its tangential edges.  The
-    non-corner spike removals (index set S, the rest R) commute, so
+    Checked over all 4m spikes: a corner partner is removed by the additive
+    edge rule, which would accept a nonpositive value without complaint.
+    """
+    return {
+        i: InvalidConductanceError(
+            f"spike {j + 1}: conductance must be positive, got {float(spikes[i, j])!r}"
+        )
+        for i, j in _first_flags(~(np.isfinite(spikes) & (spikes > 0))).items()
+    }
+
+
+def _remove_ring(lam: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, dict[int, RnetError]]:
+    """All canonical removals of one layer as one block update, item by item of a stack.
+
+    ``values`` holds each item's spikes followed by its tangential edges.
+    The non-corner spike removals (index set S, the rest R) commute, so
     together they are one Schur update with ``D = lam_SS - diag(gamma)``:
     a single solve ``X = D^-1 [lam_SR | diag(gamma)]`` gives every block of
-    the result.  The edge removals that follow are purely additive.
+    the result.  The edge removals that follow are purely additive.  Also
+    returns the refusal of each item whose ``D`` is singular.
     """
-    plan = _ring_plan(lam.shape[0] // 4)
+    n_items = len(lam)
+    plan = _ring_plan(lam.shape[1] // 4)
     ns = plan.n_spikes
-    gamma = values[plan.order[:ns]]
-    a = lam.take(plan.order, axis=0).take(plan.order, axis=1)  # S first, then R
-    diag_gamma = np.diag(gamma)
-    d = a[:ns, :ns] - diag_gamma
-    try:
-        x = np.linalg.solve(d, np.concatenate([a[:ns, ns:], diag_gamma], axis=1))
-    except np.linalg.LinAlgError:
-        raise DegenerateDeltaError("spike block is exactly singular") from None
-    nr = a.shape[0] - ns
-    x_r, x_g = x[:, :nr], x[:, nr:]
+    gamma = values[:, plan.order[:ns]]
+    a = lam.take(plan.order, axis=1).take(plan.order, axis=2)  # S first, then R
+    diag_gamma = np.zeros((n_items, ns, ns))
+    diag_gamma[:, np.arange(ns), np.arange(ns)] = gamma
+    d = a[:, :ns, :ns] - diag_gamma
+    x = _solve_stack(d, np.concatenate([a[:, :ns, ns:], diag_gamma], axis=2))
+    nr = a.shape[1] - ns
+    x_r, x_g = x[..., :nr], x[..., nr:]
     # D^-1 = X_gamma / gamma, so the condition number costs no extra solve.
-    cond = float(np.abs(d).sum(axis=1).max() * np.abs(x_g / gamma).sum(axis=1).max())
-    if not cond < 1.0 / DELTA_FLOOR:
-        raise DegenerateDeltaError(
-            f"spike block is singular: condition {cond:.3e} at or above {1.0 / DELTA_FLOOR:.0e}"
+    d_norm = np.abs(d).sum(axis=2).max(axis=1)
+    cond = d_norm * np.abs(x_g / gamma[:, None, :]).sum(axis=2).max(axis=1)
+    errors = {  # with finite input only an exactly singular D gives a NaN condition
+        i: DegenerateDeltaError(
+            "spike block is exactly singular" if np.isnan(cond[i]) else
+            f"spike block is singular: condition {cond[i]:.3e} at or above {1.0 / DELTA_FLOOR:.0e}"
         )
-    a_rs = a[ns:, :ns]
+        for i in _first_flags(~(cond < 1.0 / DELTA_FLOOR))
+    }
+    a_rs = a[:, ns:, :ns]
     out = np.empty_like(a)
-    out[:ns, :ns] = -gamma[:, None] * x_g - diag_gamma
-    out[:ns, ns:] = -gamma[:, None] * x_r
-    out[ns:, :ns] = -a_rs @ x_g
-    out[ns:, ns:] = a[ns:, ns:] - a_rs @ x_r
-    out = out.take(plan.inverse, axis=0).take(plan.inverse, axis=1)
-    np.add.at(out, (plan.rows, plan.cols), plan.signs * values[plan.gather])
-    return out
+    out[:, :ns, :ns] = -gamma[:, :, None] * x_g - diag_gamma
+    out[:, :ns, ns:] = -gamma[:, :, None] * x_r
+    out[:, ns:, :ns] = -a_rs @ x_g
+    out[:, ns:, ns:] = a[:, ns:, ns:] - a_rs @ x_r
+    out = out.take(plan.inverse, axis=1).take(plan.inverse, axis=2)
+    batch = np.arange(n_items)[:, None]
+    np.add.at(out, (batch, plan.rows, plan.cols), plan.signs * values[:, plan.gather])
+    return out, errors
+
+
+def _compact(lam: np.ndarray, stripped: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delete the isolated rows and columns of each stripped item.
+
+    Returns the compacted stack, each item's isolated-row residual
+    max-norm and the diagonal scale of ``lam`` that it is judged against.
+    """
+    plan = _ring_plan(lam.shape[1] // 4)
+    scale = np.abs(np.diagonal(lam, axis1=1, axis2=2)).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    residual = np.abs(stripped[:, plan.gone, :]).max(axis=(1, 2))
+    compact = stripped.take(plan.survivors, axis=1).take(plan.survivors, axis=2)
+    return compact, residual, scale
+
+
+def _residual_note(layer: int, residual: float, scale: float) -> str | None:
+    """The warning a layer's residual earns beyond ``RESIDUAL_WARN``, if any."""
+    if not residual > RESIDUAL_WARN * scale:
+        return None
+    return (
+        f"layer {layer}: isolated-row residual {residual:.3e} "
+        f"exceeds {RESIDUAL_WARN:.0e} * diagonal scale {scale:.3e}"
+    )
 
 
 def peel_layer(
@@ -546,40 +631,29 @@ def peel_layer(
         raise DimensionMismatchError(
             f"extraction is for length {extraction.length}, state has {m}"
         )
-    # Checked over all 4m spikes: a corner partner is removed by the additive
-    # edge rule, which would accept a nonpositive value without complaint.
-    spikes = extraction.spikes
-    bad = np.flatnonzero(~(np.isfinite(spikes) & (spikes > 0)))
-    if bad.size:
-        raise InvalidConductanceError(
-            f"spike {int(bad[0]) + 1}: conductance must be positive, got {float(spikes[bad[0]])!r}"
-        )
-    if schedule is None:
-        stripped = _remove_ring(
-            state.current_lambda, np.concatenate([extraction.spikes, extraction.edges])
-        )
-    else:
-        stripped = apply_schedule(state.current_lambda, schedule)
+    lam = state.current_lambda[None]
+    errors = _spike_refusals(extraction.spikes[None])
+    if not errors:
+        if schedule is None:
+            values = np.concatenate([extraction.spikes, extraction.edges])
+            stripped, errors = _remove_ring(lam, values[None])
+        else:
+            stripped = apply_schedule(state.current_lambda, schedule)[None]
+    if errors:
+        raise errors[0]
 
-    plan = _ring_plan(m)
-    scale = float(np.abs(np.diag(state.current_lambda)).max()) or 1.0
-    residual = float(np.abs(stripped[plan.gone, :]).max())
-    if residual > RESIDUAL_WARN * scale:
-        message = (
-            f"layer {state.layer}: isolated-row residual {residual:.3e} "
-            f"exceeds {RESIDUAL_WARN:.0e} * diagonal scale {scale:.3e}"
-        )
-        if residual_limit is not None and residual > residual_limit:
-            raise ResidualTooLargeError(message)
-        _warnings.warn(message, RuntimeWarning, stacklevel=2)
-
-    compact = stripped.take(plan.survivors, axis=0).take(plan.survivors, axis=1)
+    compact, residual, scale = _compact(lam, stripped)
+    note = _residual_note(state.layer, residual[0], scale[0])
+    if note is not None:
+        if residual_limit is not None and residual[0] > residual_limit:
+            raise ResidualTooLargeError(note)
+        _warnings.warn(note, RuntimeWarning, stacklevel=2)
     return replace(
         state,
-        current_lambda=compact,
+        current_lambda=compact[0],
         current_length=m - 2,
         layer=state.layer + 1,
-        last_residual_max=residual,
+        last_residual_max=float(residual[0]),
     )
 
 
@@ -618,13 +692,68 @@ def _layer_positions(k: int, layer: int) -> np.ndarray:
     return positions
 
 
+def _leave(errors: dict[int, RnetError], layer: int, items, refusals, *arrays):
+    """Record each refusal against its item and drop those items from ``arrays``."""
+    if not errors:
+        return (items, *arrays)
+    keep = np.ones(len(items), dtype=bool)
+    for i, exc in errors.items():
+        refusals[items[i]] = annotate_layer(exc, layer)
+        keep[i] = False
+    return tuple(a[keep] for a in (items, *arrays))
+
+
+def _peel_stack(lam: np.ndarray, k: int):
+    """Peel a ``(B, 4k, 4k)`` stack of response matrices, every ring stage on all items at once.
+
+    An item leaves the stack at the first check that refuses it, in the
+    order one reconstruction meets them: opposite-block condition, edge
+    divisors, spike positivity, spike block.  Returns the catalog-ordered
+    conductances ``(B, E)``, NaN where a refusal stopped the peel; each
+    item's refusal (annotated with its layer) or ``None``; and the
+    diagnostics ``(condition, asymmetry, residual, scale)`` indexed
+    ``[layer, item]``, NaN where an item did not get that far.  Warns about
+    nothing: callers decide what to report.
+    """
+    n_items, n_layers = len(lam), (k + 1) // 2
+    g = np.full((n_items, 2 * k * k + 2 * k), np.nan)
+    refusals: list[RnetError | None] = [None] * n_items
+    condition = np.full((n_layers, n_items, 4), np.nan)
+    asymmetry, residual, scale = np.full((3, n_layers, n_items), np.nan)
+    items, cur = np.arange(n_items), lam
+    with np.errstate(all="ignore"):
+        for layer in range(n_layers):
+            cur_scale = np.abs(cur).max(axis=(1, 2))
+            cur_scale[cur_scale == 0.0] = 1.0
+            asymmetry[layer, items] = np.abs(cur - cur.swapaxes(1, 2)).max(axis=(1, 2)) / cur_scale
+            tilde, condition[layer, items], errors = _tilde_stack(cur)
+            items, cur, tilde = _leave(errors, layer, items, refusals, cur, tilde)
+            values, errors = _extract_stack(tilde)
+            items, cur, values = _leave(errors, layer, items, refusals, cur, values)
+            g[items[:, None], _layer_positions(k, layer)] = values
+            if layer == n_layers - 1 or not len(items):
+                break
+            errors = _spike_refusals(values[:, : 4 * (k - 2 * layer)])
+            items, cur, values = _leave(errors, layer, items, refusals, cur, values)
+            stripped, errors = _remove_ring(cur, values)
+            items, cur, stripped = _leave(errors, layer, items, refusals, cur, stripped)
+            cur, residual[layer, items], scale[layer, items] = _compact(cur, stripped)
+    return g, refusals, (condition, asymmetry, residual, scale)
+
+
+def _resistance_array(g: np.ndarray) -> np.ndarray:
+    """Reciprocals of conductance estimates; a zero (either sign) maps to +inf."""
+    return np.divide(1.0, g, out=np.full_like(g, math.inf), where=g != 0.0)
+
+
 def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> ReconstructionResult:
     """Recover all ``2k^2 + 2k`` conductances of a length-``k`` network.
 
     The input must already be symmetrized if it came from a noisy
     measurement; a relative asymmetry above ``ASYMMETRY_WARN`` only warns.
     Solver failures on degenerate input propagate with the peel layer
-    number prepended to the message.
+    number prepended to the message, after the residual warnings of the
+    layers peeled before it.
     """
     t0 = time.perf_counter()
     entries = lam.entries if isinstance(lam, ResponseMatrix) else matrixkit.as_matrix(lam)
@@ -634,52 +763,34 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
         )
     spec = LatticeSpec(k)
     notes: list[str] = []
-    scale = float(np.abs(entries).max()) or 1.0
-    asym = float(np.abs(entries - entries.T).max()) / scale
-    if asym > ASYMMETRY_WARN:
-        note = f"input asymmetry {asym:.3e} above {ASYMMETRY_WARN:.0e}; symmetrize first"
+    g, refusals, (condition, asymmetry, residual, diag_scale) = _peel_stack(entries[None], k)
+    if asymmetry[0, 0] > ASYMMETRY_WARN:  # layer 0's asymmetry is the input's
+        note = f"input asymmetry {asymmetry[0, 0]:.3e} above {ASYMMETRY_WARN:.0e}; symmetrize first"
         notes.append(note)
         _warnings.warn(note, RuntimeWarning, stacklevel=2)
-
-    g = np.full(spec.n_edges, np.nan)
-    report: list[LayerDiagnostics] = []
-    state = PeelState.initial(spec, entries)
-    while True:
-        layer = state.layer
-        m = state.current_length
-        cur = state.current_lambda
-        cur_scale = float(np.abs(cur).max()) or 1.0
-        layer_asym = float(np.abs(cur - cur.T).max()) / cur_scale
-        try:
-            blocks = face_blocks(cur, m)
-            tilde = tilde_face_matrices(blocks)
-            extraction = extract_boundary_conductances(tilde)
-        except (SingularBlockError, ZeroDivisorError) as exc:
-            raise annotate_layer(exc, layer)
-
-        g[_layer_positions(k, layer)] = np.concatenate([extraction.spikes, extraction.edges])
-
+    report = []
+    refusal = refusals[0]
+    for layer in range(len(residual) if refusal is None else refusal.layer):
+        note = _residual_note(layer, residual[layer, 0], diag_scale[layer, 0])
+        if note is not None:
+            _warnings.warn(note, RuntimeWarning, stacklevel=1)
+        m = k - 2 * layer
         diag = LayerDiagnostics(
             layer=layer,
             length=m,
-            condition=dict(tilde.condition),
-            asymmetry=layer_asym,
-            flags=extraction.flags,
+            condition=dict(zip(FACES, condition[layer, 0].tolist())),
+            asymmetry=float(asymmetry[layer, 0]),
+            residual_max=float(residual[layer, 0]) if m > 2 else None,
+            flags=_flag_texts(m, g[0, _layer_positions(k, layer)]),
         )
-        notes.extend(f"layer {layer}: {f}" for f in extraction.flags)
-        if m <= 2:
-            report.append(diag)
-            break
-        try:
-            state = peel_layer(state, extraction)
-        except (DegenerateDeltaError, InvalidConductanceError, ZeroDivisorError) as exc:
-            raise annotate_layer(exc, layer)
-        diag.residual_max = state.last_residual_max
+        notes.extend(f"layer {layer}: {f}" for f in diag.flags)
         report.append(diag)
+    if refusal is not None:
+        raise refusal
 
-    r = np.divide(1.0, g, out=np.full_like(g, math.inf), where=g != 0.0)
+    g = g[0]
     conductances = ConductanceMap(spec, dict(zip(spec.edges, g.tolist())), check_values=False)
-    resistances = dict(zip(spec.edges, r.tolist()))
+    resistances = dict(zip(spec.edges, _resistance_array(g).tolist()))
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return ReconstructionResult(
         conductances=conductances,

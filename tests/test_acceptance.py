@@ -37,8 +37,6 @@ from rnet.reconstruct import (
 )
 from rnet.render import RenderStyle, compute_delta_map, render_delta_map
 
-WORKERS = 8
-
 
 def report(criterion: str, passed: bool, detail: str):
     print(f"[acceptance] {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
@@ -78,7 +76,7 @@ def test_criterion_1_round_trip_exactness():
 @pytest.fixture(scope="module")
 def size_sweep_4_to_14():
     t0 = time.perf_counter()
-    result = run_size_sweep([4, 6, 8, 10, 12, 14], trials=100, seed=0, workers=WORKERS)
+    result = run_size_sweep([4, 6, 8, 10, 12, 14], trials=100, seed=0)
     return result, time.perf_counter() - t0
 
 
@@ -136,7 +134,7 @@ def test_criterion_3_timing():
 
 
 def _crossing_sigma(k: int, probe_sigma: float, trials: int = 100) -> float:
-    result = run_noise_sweep([k], [probe_sigma], trials=trials, seed=0, workers=WORKERS)
+    result = run_noise_sweep([k], [probe_sigma], trials=trials, seed=0)
     row = result.rows[0]
     assert row.failures == 0, f"unexpected failures at k={k}, sigma={probe_sigma}"
     amplification = row.rmse_mean / probe_sigma
@@ -147,7 +145,7 @@ def test_criterion_4_noise_linearity_and_crossings():
     """RMSE grows linearly in sigma; RMSE=0.1 crossings match k=4/7/10 targets."""
     sigmas = [1e-4, 10**-3.5, 1e-3, 10**-2.5, 1e-2]
     t0 = time.perf_counter()
-    sweep = run_noise_sweep([4], sigmas, trials=100, seed=0, workers=WORKERS)
+    sweep = run_noise_sweep([4], sigmas, trials=100, seed=0)
     means = [row.rmse_mean for row in sweep.rows]
     slope = float(np.polyfit(np.log10(sigmas), np.log10(means), 1)[0])
     monotone = all(a <= b for a, b in zip(means, means[1:]))

@@ -127,7 +127,7 @@ class TestSweeps:
     def test_size_sweep_csv(self, tmp_path):
         out = tmp_path / "size.csv"
         result = invoke("sweep", "size", "--k-range", "2:3", "--trials", 2,
-                        "--seed", 1, "--workers", 1, "--out", out)
+                        "--seed", 1, "--out", out)
         assert result.exit_code == 0
         lines = out.read_text().splitlines()
         header = [line for line in lines if not line.startswith("#")][0]
@@ -140,7 +140,7 @@ class TestSweeps:
     def test_noise_sweep_csv(self, tmp_path):
         out = tmp_path / "noise.csv"
         result = invoke("sweep", "noise", "--k-list", "2", "--sigma-list", "0,1e-4",
-                        "--trials", 2, "--seed", 1, "--workers", 1, "--out", out)
+                        "--trials", 2, "--seed", 1, "--out", out)
         assert result.exit_code == 0
         body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
         assert len(body) == 3

@@ -2,15 +2,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rnet
-from rnet.errors import SpecMismatchError
+from rnet.errors import RnetError, SpecMismatchError
 from rnet.experiments import (
     CSV_HEADER,
+    _network_seed,
+    _noise_seed,
     rmse_metrics,
     run_noise_sweep,
     run_size_sweep,
@@ -18,6 +21,7 @@ from rnet.experiments import (
     sweep_to_csv,
 )
 from rnet.lattice import ConductanceMap, build_lattice, random_conductances, response_matrix
+from rnet.measure_sim import apply_elementwise_noise
 from rnet.reconstruct import ReconstructionResult, reconstruct_full
 
 
@@ -113,22 +117,65 @@ class TestSizeSweep:
         b = run_size_sweep([3], trials=4, seed=2)
         assert a.rows[0].rmse_mean != b.rows[0].rmse_mean
 
-    def test_parallel_matches_sequential(self):
-        sweeps = [
-            lambda workers: run_size_sweep([2, 3], trials=6, seed=5, workers=workers),
-            lambda workers: run_noise_sweep(
-                [3, 7], [1e-6, 1e-3], trials=6, seed=5, workers=workers
-            ),
-        ]
-        for sweep in sweeps:
-            seq, par = sweep(None), sweep(2)
-            assert len(seq.rows) == len(par.rows)
-            # repr-equal CSV cells: bit-equal floats, and NaN rows of refused trials compare
-            assert strip_time_columns(sweep_to_csv(seq)) == strip_time_columns(sweep_to_csv(par))
-
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             run_size_sweep([2], trials=0)
+
+
+def oracle_row(k, trials, seed, sigma=0.0, sigma_index=0):
+    """A sweep row built one trial at a time through the public per-network API."""
+    rmse, rel = [], []
+    for t in range(trials):
+        net = random_conductances(
+            build_lattice(k), np.random.default_rng(_network_seed(seed, k, t))
+        )
+        lam = response_matrix(net)
+        if sigma > 0:
+            lam = apply_elementwise_noise(lam, sigma, _noise_seed(seed, k, sigma_index, t))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                recon = reconstruct_full(lam, k)
+        except RnetError:
+            continue
+        metrics = rmse_metrics(net, recon)
+        if math.isfinite(metrics.rmse) and math.isfinite(metrics.rel_rmse):
+            rmse.append(metrics.rmse)
+            rel.append(metrics.rel_rmse)
+    if not rmse:
+        return (math.nan, math.nan, math.nan, trials)
+    spread = float(np.std(rmse, ddof=1)) if len(rmse) > 1 else 0.0
+    return (float(np.mean(rmse)), spread, float(np.mean(rel)), trials - len(rmse))
+
+
+class TestSweepOracle:
+    """Each stacked sweep row equals the same trials run one network at a time."""
+
+    @staticmethod
+    def fields(row):
+        # repr-equal: bit-equal floats, and NaN rows of refused trials compare
+        fields = (row.rmse_mean, row.rmse_std, row.rel_rmse_mean, row.failures)
+        return tuple(repr(x) for x in fields)
+
+    def test_size_sweep_rows(self):
+        k_values = [1, 2, 3, 5, 8]
+        sweep = run_size_sweep(k_values, trials=4, seed=5)
+        for k, row in zip(k_values, sweep.rows, strict=True):
+            assert self.fields(row) == tuple(repr(x) for x in oracle_row(k, 4, 5))
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_noise_sweep_rows(self, seed):
+        sigmas = [0.0, 1e-6, 1e-3]
+        sweep = run_noise_sweep([3, 7], sigmas, trials=6, seed=seed)
+        expected = [
+            oracle_row(k, 6, seed, sigma, s_idx)
+            for k in (3, 7)
+            for s_idx, sigma in enumerate(sigmas)
+        ]
+        for row, oracle in zip(sweep.rows, expected, strict=True):
+            assert self.fields(row) == tuple(repr(x) for x in oracle)
+        # refusals are covered: the 7:0.001 row loses all 6 trials at seed 4, 5 of 6 at seed 5
+        assert sweep.rows[-1].failures == {4: 6, 5: 5}[seed]
 
 
 class TestNoiseSweep:

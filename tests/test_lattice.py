@@ -24,6 +24,7 @@ from rnet.lattice import (
     rotate_network,
     uniform_conductances,
 )
+from rnet.lattice import _kirchhoff_stack, _response_stack
 
 
 class TestEdgeId:
@@ -256,6 +257,19 @@ class TestForwardSolve:
         kirchhoff = build_kirchhoff(net)
         dense = np.linalg.solve(kirchhoff[24:, 24:], -(kirchhoff[24:, :24] @ u))
         assert np.abs(out.interior_potentials - dense).max() <= 1e-12
+
+
+class TestForwardStack:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_stack_matches_per_network_bitwise(self, k):
+        spec = build_lattice(k)
+        nets = [random_conductances(spec, np.random.default_rng(50 + t)) for t in range(3)]
+        g = np.array([[net.values[e] for e in net.spec.edges] for net in nets])
+        kirchhoff = _kirchhoff_stack(g, k)
+        lam = _response_stack(kirchhoff, k)
+        for t, net in enumerate(nets):
+            assert kirchhoff[t].tobytes() == build_kirchhoff(net).tobytes()
+            assert lam[t].tobytes() == response_matrix(net).entries.tobytes()
 
 
 class TestLayerGeometry:

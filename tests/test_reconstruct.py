@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,9 @@ from rnet.errors import (
     DimensionMismatchError,
     InvalidConductanceError,
     ResidualTooLargeError,
+    RnetError,
     SingularBlockError,
+    ZeroDivisorError,
 )
 from rnet.lattice import (
     ConductanceMap,
@@ -20,7 +24,9 @@ from rnet.lattice import (
     rotate_network,
     uniform_conductances,
 )
+from rnet.measure_sim import apply_elementwise_noise
 from rnet.reconstruct import (
+    RESIDUAL_WARN,
     PeelExtraction,
     PeelState,
     apply_edge_removal,
@@ -36,6 +42,7 @@ from rnet.reconstruct import (
     removal_schedule,
     tilde_face_matrices,
 )
+from rnet.reconstruct import _peel_stack
 
 
 def unit_lambda(k: int) -> np.ndarray:
@@ -474,6 +481,72 @@ class TestReconstructFull:
         result = reconstruct_full(unit_lambda(2), 2)
         assert [d.length for d in result.report] == [2]
         assert result.report[0].residual_max is None
+
+
+def mixed_stack(k: int = 5):
+    """Exact, noisy and hand-broken length-``k`` response matrices in one stack."""
+    spec = build_lattice(k)
+    items = [random_lambda(k, seed)[1] for seed in range(3)]
+    for seed in range(8):  # at sigma 3e-2 about half of these are refused
+        lam = response_matrix(random_conductances(spec, np.random.default_rng(seed)))
+        items.append(apply_elementwise_noise(lam, 3e-2, 100 + seed).entries)
+    items.append(np.eye(4 * k))  # singular opposite blocks
+    for j in (2, 4):  # a nonpositive ring-1 spike, at a spike-rule index and a corner partner
+        values = {e: 1.0 for e in spec.edges}
+        values[layer_spike_edge(spec, 1, j)] = -0.5
+        items.append(response_matrix(ConductanceMap(spec, values, check_values=False)).entries)
+    zero = random_lambda(k, 9)[1].copy()
+    zero[0:k, k : 2 * k] = zero[k : 2 * k, 0:k] = 0.0  # face N's reduction is its own block,
+    zero[0, 1] = zero[1, 0] = 0.0                      # whose first edge divisor is then zero
+    items.append(zero)
+    return np.stack(items)
+
+
+class TestPeelStack:
+    def test_each_item_matches_its_own_reconstruction(self):
+        k = 5
+        stack = mixed_stack(k)
+        g, refusals, _ = _peel_stack(stack, k)
+        edges = build_lattice(k).edges
+        kinds = []
+        for item, lam in enumerate(stack):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    alone = reconstruct_full(lam, k)
+            except RnetError as exc:
+                got = refusals[item]
+                assert (type(got), got.layer, str(got)) == (type(exc), exc.layer, str(exc))
+                assert getattr(got, "face", None) == getattr(exc, "face", None)
+                kinds.append(type(exc))
+                continue
+            assert refusals[item] is None
+            expected = np.array([alone.conductances.values[e] for e in edges])
+            assert g[item].tobytes() == expected.tobytes()
+            kinds.append(None)
+        assert kinds[:3] == [None, None, None]
+        noisy = kinds[3:11]
+        assert None in noisy and InvalidConductanceError in noisy
+        assert kinds[11:] == [
+            SingularBlockError, InvalidConductanceError, InvalidConductanceError, ZeroDivisorError
+        ]
+
+    def test_stack_core_warns_about_nothing(self):
+        # Deep noise-free items exceed RESIDUAL_WARN, noisy ones are refused,
+        # and the zero divisor of the mixed stack divides by zero:
+        # reconstruct_full warns about the first, the stacked core about none.
+        k = 10
+        lams = [random_lambda(k, seed)[1] for seed in range(3)]
+        for seed in range(3):
+            lam = response_matrix(random_conductances(build_lattice(k), np.random.default_rng(seed)))
+            lams.append(apply_elementwise_noise(lam, 1e-3, seed).entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, refusals, (_, _, residual, scale) = _peel_stack(np.stack(lams), k)
+            _, mixed_refusals, _ = _peel_stack(mixed_stack(), 5)
+        assert any(r is not None for r in refusals)
+        assert isinstance(mixed_refusals[-1], ZeroDivisorError)
+        assert np.any(residual > RESIDUAL_WARN * scale)
 
 
 class TestReconstructionJson:
