@@ -2,8 +2,9 @@
 
 Every sweep derives one independent RNG stream per (parameter point,
 trial) from the master seed, so results are reproducible bit-for-bit.
-Network generation streams are keyed by (k, trial) only, which makes the
-sigma=0 column of a noise sweep reproduce the noise-free sweep exactly.
+Network generation streams are keyed by (k, trial) only, so a noise sweep
+draws and forward-solves each length's networks once, shares them among
+that length's sigma rows, and its sigma=0 column reproduces the size sweep.
 
 A row is one stacked computation: its networks are drawn as one
 ``(trials, E)`` array, forward-solved together and peeled together, and
@@ -96,27 +97,47 @@ def _spread(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1)) if x.size > 1 else 0.0
 
 
+def _check_grid(k_values: Sequence[int], trials: int, sigmas: Sequence[float] = (0.0,)) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not (len(k_values) and len(sigmas)):
+        raise ValueError("a sweep needs at least one length and one sigma")
+    for k in k_values:
+        if not (isinstance(k, (int, np.integer)) and k >= 1):
+            raise ValueError(f"network length must be a positive integer, got {k!r}")
+    for s in sigmas:
+        if not (math.isfinite(s) and s >= 0):
+            raise ValueError(f"sigma must be >= 0, got {s!r}")
+
+
+def _draw_row(k: int, trials: int, seed: int, bounds: tuple[float, float] = (1.0, 2.0)):
+    """A row's conductances ``(trials, E)`` and exact responses, read-only as rows share them."""
+    rngs = [np.random.default_rng(_network_seed(seed, k, t)) for t in range(trials)]
+    g = np.stack([_random_conductance_array(2 * k * (k + 1), rng, *bounds) for rng in rngs])
+    lam = _response_stack(_kirchhoff_stack(g, k), k)
+    g.setflags(write=False)
+    lam.setflags(write=False)
+    return g, lam
+
+
 def _run_row(
     param: str,
     k: int,
-    trials: int,
+    g: np.ndarray,
+    lam: np.ndarray,
     seed: int,
-    bounds: tuple[float, float] = (1.0, 2.0),
     sigma: float = 0.0,
     sigma_index: int = 0,
     one_per_peel: bool = False,
 ) -> SweepRow:
-    """One sweep row: draw, forward-solve and (when ``sigma > 0``) corrupt every trial.
+    """One row over networks ``g`` and clean responses ``lam``; ``sigma > 0`` corrupts a copy.
 
-    A discarded peel of the first trial warms up, then the whole stack is
-    peeled in one pass and timed as a whole, or, with ``one_per_peel``, one
-    trial per pass and timed per trial.  Trials refused by the solver or
-    with non-finite metrics are counted as failures and excluded.
+    The stack is peeled in one timed pass, with no warm-up, so a fresh
+    process's first row also times one-time set-up (plan compilation,
+    LAPACK start-up).  ``one_per_peel`` discards one warm-up peel, then
+    peels and times each trial alone.  Refused or non-finite trials fail.
     """
-    n_edges = 2 * k * k + 2 * k
-    rngs = [np.random.default_rng(_network_seed(seed, k, t)) for t in range(trials)]
-    g = np.stack([_random_conductance_array(n_edges, rng, *bounds) for rng in rngs])
-    lam = _response_stack(_kirchhoff_stack(g, k), k)
+    trials = len(g)
     if sigma > 0:
         seeds = [_noise_seed(seed, k, sigma_index, t) for t in range(trials)]
         lam = np.stack(
@@ -125,8 +146,8 @@ def _run_row(
                 for item, item_seed in zip(lam, seeds)
             ]
         )
-    _peel_stack(lam[:1], k)
     if one_per_peel:
+        _peel_stack(lam[:1], k)
         ms, peels = np.empty(trials), []
         for t in range(trials):
             t0 = time.perf_counter()
@@ -163,15 +184,15 @@ def run_size_sweep(
     Per trial: draw i.i.d. uniform resistances, compute the exact response
     matrix, reconstruct, and record the resistance RMSE.  A row's time
     columns are its one stacked peel's wall time divided by ``trials``
-    (spread 0).  Trials that raise a solver error, or whose metrics come
-    out non-finite, are counted as failures and excluded from the means;
-    the sweep itself never aborts.  ``workers`` is accepted for existing
-    callers and ignored: every row runs in this process.
+    (spread 0); with no warm-up pass, a fresh process's first row also
+    times one-time set-up.  Trials that raise a solver error, or whose
+    metrics come out non-finite, are counted as failures and excluded from
+    the means; the sweep itself never aborts.  ``workers`` is accepted for
+    existing callers and ignored: every row runs in this process.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_grid(k_values, trials)
     bounds = (resistance_low, resistance_high)
-    rows = [_run_row(str(k), k, trials, seed, bounds) for k in k_values]
+    rows = [_run_row(str(k), k, *_draw_row(k, trials, seed, bounds), seed) for k in k_values]
     config = {
         "sweep": "size",
         "k_values": ",".join(str(k) for k in k_values),
@@ -192,20 +213,17 @@ def run_noise_sweep(
     """Reconstruction error under multiplicative response-matrix noise.
 
     One row per ``(k, sigma)`` pair, with the param column written as
-    ``<k>:<sigma>``.  Networks are generated exactly as in the size sweep,
-    then corrupted entrywise and symmetrized before reconstruction.  Time
-    columns and ``workers`` as in :func:`run_size_sweep`.
+    ``<k>:<sigma>``.  Each length's networks are drawn and forward-solved
+    once, as in the size sweep, and shared by all of its sigma rows: each
+    row corrupts a copy entrywise and symmetrizes it before reconstruction,
+    and a sigma=0 row peels the size sweep's own stack.  Time columns and
+    ``workers`` as in :func:`run_size_sweep`.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    for s in sigmas:
-        if not (math.isfinite(s) and s >= 0):
-            raise ValueError(f"sigma must be >= 0, got {s!r}")
-    rows = [
-        _run_row(f"{k}:{sigma:g}", k, trials, seed, sigma=sigma, sigma_index=s_idx)
-        for k in k_values
-        for s_idx, sigma in enumerate(sigmas)
-    ]
+    _check_grid(k_values, trials, sigmas)
+    rows = []
+    for k in k_values:
+        g, lam = _draw_row(k, trials, seed)
+        rows += [_run_row(f"{k}:{s:g}", k, g, lam, seed, s, i) for i, s in enumerate(sigmas)]
     config = {
         "sweep": "noise",
         "k_values": ",".join(str(k) for k in k_values),
@@ -227,9 +245,10 @@ def run_timing_profile(
     its own, so the time columns are the mean and spread of single
     reconstructions.  One warm-up peel per length is discarded.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rows = [_run_row(str(k), k, trials, seed, one_per_peel=True) for k in k_values]
+    _check_grid(k_values, trials)
+    rows = [
+        _run_row(str(k), k, *_draw_row(k, trials, seed), seed, one_per_peel=True) for k in k_values
+    ]
     config = {
         "sweep": "timing",
         "k_values": ",".join(str(k) for k in k_values),

@@ -145,6 +145,23 @@ class TestSweeps:
         body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
         assert len(body) == 3
 
+    @pytest.mark.parametrize(
+        "k_list, sigma_list, message",
+        [
+            ("-3", "1e-3", "got -3"),
+            ("3,0", "1e-3", "got 0"),
+            (",", "1e-3", "at least one length"),
+            ("3", ",", "one sigma"),
+        ],
+    )
+    def test_bad_noise_grid_is_invalid_input(self, tmp_path, k_list, sigma_list, message):
+        out = tmp_path / "noise.csv"
+        result = runner.invoke(main, ["sweep", "noise", "--k-list", k_list,
+                                      "--sigma-list", sigma_list, "--out", str(out)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not out.exists()
+
     def test_timing_sweep(self, tmp_path):
         out = tmp_path / "timing.csv"
         result = invoke("sweep", "timing", "--k-range", "2:3", "--trials", 2,

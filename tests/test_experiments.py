@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import rnet
+import rnet.experiments as experiments
 from rnet.errors import RnetError, SpecMismatchError
 from rnet.experiments import (
     CSV_HEADER,
@@ -204,6 +206,69 @@ class TestNoiseSweep:
     def test_invalid_sigma_rejected(self):
         with pytest.raises(ValueError):
             run_noise_sweep([3], [-0.1], trials=2)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``rnet.experiments.<name>``; returns the list of each call's positional args."""
+    calls, original = [], getattr(experiments, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, wrapper)
+    return calls
+
+
+class TestSweepWork:
+    """Each sweep draws, forward-solves and peels every network no more often than it must."""
+
+    def test_noise_sweep_forward_solves_each_length_once(self, monkeypatch):
+        solves = count_calls(monkeypatch, "_response_stack")
+        peels = count_calls(monkeypatch, "_peel_stack")
+        run_noise_sweep([3, 5], [0.0, 1e-6, 1e-3], trials=4, seed=0)
+        assert len(solves) == 2
+        assert [len(args[0]) for args in peels] == [4] * 6
+        # the sigma=0 rows peel the clean stack that the length's other rows share
+        for clean in (peels[0][0], peels[3][0]):
+            assert not clean.flags.writeable
+            with pytest.raises(ValueError):
+                clean[0, 0, 0] = 0.0
+
+    def test_size_sweep_peels_each_row_once(self, monkeypatch):
+        peels = count_calls(monkeypatch, "_peel_stack")
+        run_size_sweep([3, 5], trials=4, seed=0)
+        assert [len(args[0]) for args in peels] == [4, 4]
+
+    def test_timing_profile_keeps_its_warm_up(self, monkeypatch):
+        peels = count_calls(monkeypatch, "_peel_stack")
+        run_timing_profile([3], trials=4, seed=0)
+        assert [len(args[0]) for args in peels] == [1] * (1 + 4)
+
+
+class TestSweepValidation:
+    SWEEPS = {
+        "size": lambda ks: run_size_sweep(ks, trials=2),
+        "noise": lambda ks: run_noise_sweep(ks, [1e-3], trials=2),
+        "timing": lambda ks: run_timing_profile(ks, trials=2),
+    }
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "4"])
+    def test_bad_length_named_before_any_work(self, monkeypatch, sweep, bad):
+        solves = count_calls(monkeypatch, "_response_stack")
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
+            self.SWEEPS[sweep]([3, bad])
+        assert solves == []
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_empty_length_list_rejected(self, sweep):
+        with pytest.raises(ValueError, match="at least one length"):
+            self.SWEEPS[sweep]([])
+
+    def test_empty_sigma_list_rejected(self):
+        with pytest.raises(ValueError, match="one sigma"):
+            run_noise_sweep([3], [], trials=2)
 
 
 class TestTimingProfile:
