@@ -6,9 +6,9 @@ Network generation streams are keyed by (k, trial) only, so a noise sweep
 draws and forward-solves each length's networks once, shares them among
 that length's sigma rows, and its sigma=0 column reproduces the size sweep.
 
-A row is one stacked computation: its networks are drawn as one
-``(trials, E)`` array, forward-solved together and peeled together, and
-each trial gives the same bits as the per-network API would.
+Each row's networks are drawn as one ``(trials, E)`` array and
+forward-solved together, all rows of a sweep are peeled together in one
+pass, and each trial gives the same bits as the per-network API would.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -97,17 +98,19 @@ def _spread(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1)) if x.size > 1 else 0.0
 
 
-def _check_grid(k_values: Sequence[int], trials: int, sigmas: Sequence[float] = (0.0,)) -> None:
+def _check_grid(k_values: Sequence[int], trials: int, sigmas: Sequence[float] = (0.0,)) -> list:
+    """Refuse a bad grid before any work; returns the lengths as ``int``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (len(k_values) and len(sigmas)):
         raise ValueError("a sweep needs at least one length and one sigma")
     for k in k_values:
-        if not (isinstance(k, (int, np.integer)) and k >= 1):
+        if isinstance(k, bool) or not (isinstance(k, numbers.Integral) and k >= 1):
             raise ValueError(f"network length must be a positive integer, got {k!r}")
     for s in sigmas:
         if not (math.isfinite(s) and s >= 0):
             raise ValueError(f"sigma must be >= 0, got {s!r}")
+    return [int(k) for k in k_values]
 
 
 def _draw_row(k: int, trials: int, seed: int, bounds: tuple[float, float] = (1.0, 2.0)):
@@ -120,55 +123,40 @@ def _draw_row(k: int, trials: int, seed: int, bounds: tuple[float, float] = (1.0
     return g, lam
 
 
-def _run_row(
-    param: str,
-    k: int,
-    g: np.ndarray,
-    lam: np.ndarray,
-    seed: int,
-    sigma: float = 0.0,
-    sigma_index: int = 0,
-    one_per_peel: bool = False,
-) -> SweepRow:
-    """One row over networks ``g`` and clean responses ``lam``; ``sigma > 0`` corrupts a copy.
+def _noisy(lam: np.ndarray, k: int, seed: int, sigma: float, sigma_index: int) -> np.ndarray:
+    """A copy of ``lam`` with each trial corrupted by its own stream; ``lam`` itself at sigma 0."""
+    if sigma == 0:
+        return lam
+    seeds = [_noise_seed(seed, k, sigma_index, t) for t in range(len(lam))]
+    return np.stack(
+        [apply_elementwise_noise(ResponseMatrix(x), sigma, s).entries for x, s in zip(lam, seeds)]
+    )
 
-    The stack is peeled in one timed pass, with no warm-up, so a fresh
-    process's first row also times one-time set-up (plan compilation,
-    LAPACK start-up).  ``one_per_peel`` discards one warm-up peel, then
-    peels and times each trial alone.  Refused or non-finite trials fail.
+
+def _row(param: str, g: np.ndarray, peel, one_per_peel: bool = False) -> SweepRow:
+    """One row from networks ``g`` and their ``_peel_stack`` result.
+
+    Refused or non-finite trials fail.  Time columns: all trials' ms over
+    ``trials`` (spread 0), or with ``one_per_peel`` the survivors' mean and spread.
     """
+    recon, refusals, _, ms = peel
     trials = len(g)
-    if sigma > 0:
-        seeds = [_noise_seed(seed, k, sigma_index, t) for t in range(trials)]
-        lam = np.stack(
-            [
-                apply_elementwise_noise(ResponseMatrix(item), sigma, item_seed).entries
-                for item, item_seed in zip(lam, seeds)
-            ]
-        )
-    if one_per_peel:
-        _peel_stack(lam[:1], k)
-        ms, peels = np.empty(trials), []
-        for t in range(trials):
-            t0 = time.perf_counter()
-            peels.append(_peel_stack(lam[t : t + 1], k))
-            ms[t] = (time.perf_counter() - t0) * 1000.0
-        recon = np.concatenate([peel[0] for peel in peels])
-        refusals = [peel[1][0] for peel in peels]
-    else:
-        t0 = time.perf_counter()
-        recon, refusals, _ = _peel_stack(lam, k)
-        row_ms = (time.perf_counter() - t0) * 1000.0 / trials
     rmse, rel = _resistance_errors(1.0 / g, _resistance_array(recon))
     ok = np.array([r is None for r in refusals]) & np.isfinite(rmse) & np.isfinite(rel)
     if not ok.any():
         return SweepRow(param, trials, *[math.nan] * 5, trials)
-    time_ms = (float(np.mean(ms[ok])), _spread(ms[ok])) if one_per_peel else (row_ms, 0.0)
+    time_ms = (np.mean(ms[ok]), _spread(ms[ok])) if one_per_peel else (np.sum(ms) / trials, 0.0)
     rmse, rel = rmse[ok], rel[ok]
     return SweepRow(
-        param, trials, float(np.mean(rmse)), _spread(rmse), float(np.mean(rel)), *time_ms,
-        trials - rmse.size,
+        param, trials, float(np.mean(rmse)), _spread(rmse), float(np.mean(rel)),
+        float(time_ms[0]), time_ms[1], trials - rmse.size,
     )
+
+
+def _peel_rows(rows: list) -> tuple[SweepRow, ...]:
+    """Rows of ``(param, networks, responses)``, all peeled in one ``_peel_stack`` pass."""
+    peels = _peel_stack([lam for _, _, lam in rows])
+    return tuple(_row(param, g, peel) for (param, g, _), peel in zip(rows, peels))
 
 
 def run_size_sweep(
@@ -182,17 +170,18 @@ def run_size_sweep(
     """Noise-free reconstruction error and wall time per network length.
 
     Per trial: draw i.i.d. uniform resistances, compute the exact response
-    matrix, reconstruct, and record the resistance RMSE.  A row's time
-    columns are its one stacked peel's wall time divided by ``trials``
-    (spread 0); with no warm-up pass, a fresh process's first row also
-    times one-time set-up.  Trials that raise a solver error, or whose
-    metrics come out non-finite, are counted as failures and excluded from
-    the means; the sweep itself never aborts.  ``workers`` is accepted for
-    existing callers and ignored: every row runs in this process.
+    matrix, reconstruct, and record the resistance RMSE.  All rows are
+    peeled in one pass (``_peel_stack``): each ring's wall time is split
+    evenly among the trials it peeled, and a row's time columns are its
+    trials' total over ``trials`` (spread 0).  With no warm-up, one-time
+    set-up in a fresh process is shared the same way.  Trials that raise a
+    solver error, or whose metrics come out non-finite, are counted as
+    failures and excluded from the means; the sweep itself never aborts.
+    ``workers`` is accepted for existing callers and ignored.
     """
-    _check_grid(k_values, trials)
+    k_values = _check_grid(k_values, trials)
     bounds = (resistance_low, resistance_high)
-    rows = [_run_row(str(k), k, *_draw_row(k, trials, seed, bounds), seed) for k in k_values]
+    rows = _peel_rows([(str(k), *_draw_row(k, trials, seed, bounds)) for k in k_values])
     config = {
         "sweep": "size",
         "k_values": ",".join(str(k) for k in k_values),
@@ -200,7 +189,7 @@ def run_size_sweep(
         "resistance_range": f"{resistance_low:g}:{resistance_high:g}",
         "seed": str(seed),
     }
-    return SweepResult(rows=tuple(rows), seed=seed, config=config)
+    return SweepResult(rows=rows, seed=seed, config=config)
 
 
 def run_noise_sweep(
@@ -216,14 +205,15 @@ def run_noise_sweep(
     ``<k>:<sigma>``.  Each length's networks are drawn and forward-solved
     once, as in the size sweep, and shared by all of its sigma rows: each
     row corrupts a copy entrywise and symmetrizes it before reconstruction,
-    and a sigma=0 row peels the size sweep's own stack.  Time columns and
-    ``workers`` as in :func:`run_size_sweep`.
+    and a sigma=0 row peels the size sweep's own stack.  All rows are
+    peeled in one pass, so the sigma rows of one length share every ring.
+    Time columns and ``workers`` as in :func:`run_size_sweep`.
     """
-    _check_grid(k_values, trials, sigmas)
+    k_values = _check_grid(k_values, trials, sigmas)
     rows = []
     for k in k_values:
         g, lam = _draw_row(k, trials, seed)
-        rows += [_run_row(f"{k}:{s:g}", k, g, lam, seed, s, i) for i, s in enumerate(sigmas)]
+        rows += [(f"{k}:{s:g}", g, _noisy(lam, k, seed, s, i)) for i, s in enumerate(sigmas)]
     config = {
         "sweep": "noise",
         "k_values": ",".join(str(k) for k in k_values),
@@ -231,7 +221,7 @@ def run_noise_sweep(
         "trials": str(trials),
         "seed": str(seed),
     }
-    return SweepResult(rows=tuple(rows), seed=seed, config=config)
+    return SweepResult(rows=_peel_rows(rows), seed=seed, config=config)
 
 
 def run_timing_profile(
@@ -245,10 +235,18 @@ def run_timing_profile(
     its own, so the time columns are the mean and spread of single
     reconstructions.  One warm-up peel per length is discarded.
     """
-    _check_grid(k_values, trials)
-    rows = [
-        _run_row(str(k), k, *_draw_row(k, trials, seed), seed, one_per_peel=True) for k in k_values
-    ]
+    k_values = _check_grid(k_values, trials)
+    rows = []
+    for k in k_values:
+        g, lam = _draw_row(k, trials, seed)
+        _peel_stack([lam[:1]])
+        ms, peels = np.empty(trials), []
+        for t in range(trials):
+            t0 = time.perf_counter()
+            peels.append(_peel_stack([lam[t : t + 1]])[0])
+            ms[t] = (time.perf_counter() - t0) * 1000.0
+        recon, refusals = np.concatenate([p[0] for p in peels]), [p[1][0] for p in peels]
+        rows.append(_row(str(k), g, (recon, refusals, None, ms), one_per_peel=True))
     config = {
         "sweep": "timing",
         "k_values": ",".join(str(k) for k in k_values),

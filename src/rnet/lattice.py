@@ -459,20 +459,6 @@ def layer_boundary_node(spec: LatticeSpec, layer: int, j: int):
     return ("I", k + 1 - layer - i, layer)
 
 
-def layer_anchor(spec: LatticeSpec, layer: int, j: int) -> tuple[int, int]:
-    """Interior node the layer-``layer`` spike at boundary index ``j`` leads to."""
-    k = spec.length
-    m = layer_length(k, layer)
-    face, i = _layer_face_local(m, j)
-    if face == "N":
-        return (layer + 1, layer + i)
-    if face == "E":
-        return (layer + i, k - layer)
-    if face == "S":
-        return (k - layer, k + 1 - layer - i)
-    return (k + 1 - layer - i, layer + 1)
-
-
 def layer_spike_edge(spec: LatticeSpec, layer: int, j: int) -> EdgeId:
     """Physical edge acting as the spike of boundary index ``j`` at a layer."""
     k = spec.length

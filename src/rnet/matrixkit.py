@@ -4,9 +4,9 @@ Everything here treats arrays as immutable values: inputs are never
 modified and every operation returns a freshly allocated array.  The
 solver is a row-pivoted LU with a hard relative pivot floor, so a
 conditioning collapse surfaces as :class:`SingularMatrixError` instead of
-silently propagating NaNs.  The forward model and the peel solve their
-float64 systems with numpy's LAPACK instead; this elimination, written
-out in Python, is the reference for non-float64 arithmetic.
+silently propagating NaNs.  Like everything here it casts its input to
+float64, so it is no reference for other dtypes; the forward model and
+the peel do not call it, and solve with numpy's LAPACK instead.
 """
 
 from __future__ import annotations

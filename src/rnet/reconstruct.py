@@ -19,14 +19,15 @@ One pass over the current boundary works in three moves:
    columns leaves the response matrix of the length ``k-2`` sub-network.
    Repeat until nothing is left.
 
-Every stage works on a ``(B, 4m, 4m)`` stack of response matrices, and an
-item leaves the stack at its first refusal; ``reconstruct_full`` and the
-public stage functions are the B=1 case.  Boundary indices in this module
-are 1-based, matching the lattice numbering; array storage is 0-based.
+Every stage works on a ``(B, 4m, 4m)`` stack, whose items may come from
+networks of different lengths, and an item leaves it at its first refusal;
+``reconstruct_full`` and the public stage functions are the B=1 case.
+Boundary indices here are 1-based, as in the lattice; arrays are 0-based.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -676,69 +677,94 @@ class ReconstructionResult:
 
 
 @lru_cache(maxsize=None)
-def _layer_positions(k: int, layer: int) -> np.ndarray:
-    """Catalog position of each physical edge behind a layer's estimates.
+def _catalog_slots(k: int) -> np.ndarray:
+    """Slot of each catalog edge in the ring-major layout that ``_peel_stack`` fills.
 
-    In ``PeelExtraction`` order: spikes by boundary index, then tangential
-    edges face by face.
+    Innermost ring first: ring ``m`` holds its estimates in ``PeelExtraction``
+    order at slots ``2(m-1)(m-2)`` up to ``2m(m+1)``, the same for every length.
     """
-    spec = LatticeSpec(k)
-    m = k - 2 * layer
-    position = {e: p for p, e in enumerate(spec.edges)}
-    ids = [layer_spike_edge(spec, layer, j) for j in range(1, 4 * m + 1)]
-    ids += [layer_tangential_edge(spec, layer, face, i) for face in FACES for i in range(1, m)]
-    positions = np.array([position[e] for e in ids], dtype=np.intp)
-    positions.setflags(write=False)  # shared by every caller through the cache
-    return positions
+    spec, ids = LatticeSpec(k), []
+    for m in range(2 - k % 2, k + 1, 2):
+        layer = (k - m) // 2
+        ids += [layer_spike_edge(spec, layer, j) for j in range(1, 4 * m + 1)]
+        ids += [layer_tangential_edge(spec, layer, face, i) for face in FACES for i in range(1, m)]
+    slot = {e: s for s, e in enumerate(ids)}
+    slots = np.array([slot[e] for e in spec.edges], dtype=np.intp)
+    slots.setflags(write=False)  # shared by every caller through the cache
+    return slots
 
 
-def _leave(errors: dict[int, RnetError], layer: int, items, refusals, *arrays):
-    """Record each refusal against its item and drop those items from ``arrays``."""
+def _leave(errors: dict[int, RnetError], m: int, k_of: list, items, refusals, *arrays):
+    """Record each refusal against its item and its layer at ring ``m``; drop those items."""
     if not errors:
         return (items, *arrays)
     keep = np.ones(len(items), dtype=bool)
     for i, exc in errors.items():
-        refusals[items[i]] = annotate_layer(exc, layer)
+        refusals[items[i]] = annotate_layer(exc, (k_of[items[i]] - m) // 2)
         keep[i] = False
     return tuple(a[keep] for a in (items, *arrays))
 
 
-def _peel_stack(lam: np.ndarray, k: int):
-    """Peel a ``(B, 4k, 4k)`` stack of response matrices, every ring stage on all items at once.
+def _peel_stack(lams: Sequence[np.ndarray]):
+    """Peel stacks of response matrices of any lengths in one pass, ring length ``m`` downward.
 
-    An item leaves the stack at the first check that refuses it, in the
-    order one reconstruction meets them: opposite-block condition, edge
-    divisors, spike positivity, spike block.  Returns the catalog-ordered
-    conductances ``(B, E)``, NaN where a refusal stopped the peel; each
-    item's refusal (annotated with its layer) or ``None``; and the
-    diagnostics ``(condition, asymmetry, residual, scale)`` indexed
-    ``[layer, item]``, NaN where an item did not get that far.  Warns about
-    nothing: callers decide what to report.
+    A ``(B, 4k, 4k)`` stack's items join at ``m == k``, and each ring runs
+    every stage on all items then at length ``m``, each at its own layer
+    ``(k - m) / 2``.  An item leaves at the first check that refuses it, in
+    the order one reconstruction meets them: opposite-block condition, edge
+    divisors, spike positivity, spike block.  Returns, per stack: the
+    catalog-ordered conductances ``(B, E)``, NaN from where a refusal
+    stopped the peel; each item's refusal (annotated with its layer) or
+    ``None``; the diagnostics ``(condition, asymmetry, residual, scale)``
+    indexed ``[layer, item]``, NaN where an item did not get that far; and
+    each item's ms: each ring's wall time, set-up it triggers included, is
+    split evenly among the items it peeled.  Warns about nothing.
     """
-    n_items, n_layers = len(lam), (k + 1) // 2
-    g = np.full((n_items, 2 * k * k + 2 * k), np.nan)
+    ks, counts = [lam.shape[1] // 4 for lam in lams], [len(lam) for lam in lams]
+    first = list(itertools.accumulate(counts, initial=0))  # each stack's first item
+    k_of = [k for k, count in zip(ks, counts) for _ in range(count)]
+    n_items, longest = first[-1], max(ks)
+    g = np.full((n_items, 2 * longest * (longest + 1)), np.nan)  # ring-major, see _catalog_slots
     refusals: list[RnetError | None] = [None] * n_items
-    condition = np.full((n_layers, n_items, 4), np.nan)
-    asymmetry, residual, scale = np.full((3, n_layers, n_items), np.nan)
-    items, cur = np.arange(n_items), lam
+    # Diagnostics are kept by ring length: a length-k item's layer L is row k - 2L.
+    condition = np.full((longest + 1, n_items, 4), np.nan)
+    asymmetry, residual, scale = np.full((3, longest + 1, n_items), np.nan)
+    ms = np.zeros(n_items)
+    pending = {}  # ring length -> the (items, stack) parts that enter that ring
+    for k, lo, hi, lam in zip(ks, first, first[1:], lams):
+        pending.setdefault(k, []).append((np.arange(lo, hi), lam))
     with np.errstate(all="ignore"):
-        for layer in range(n_layers):
+        while pending:
+            m, t0 = max(pending), time.perf_counter()
+            parts = pending.pop(m)
+            entered, cur = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            items = entered
             cur_scale = np.abs(cur).max(axis=(1, 2))
             cur_scale[cur_scale == 0.0] = 1.0
-            asymmetry[layer, items] = np.abs(cur - cur.swapaxes(1, 2)).max(axis=(1, 2)) / cur_scale
-            tilde, condition[layer, items], errors = _tilde_stack(cur)
-            items, cur, tilde = _leave(errors, layer, items, refusals, cur, tilde)
+            asymmetry[m, items] = np.abs(cur - cur.swapaxes(1, 2)).max(axis=(1, 2)) / cur_scale
+            tilde, condition[m, items], errors = _tilde_stack(cur)
+            items, cur, tilde = _leave(errors, m, k_of, items, refusals, cur, tilde)
             values, errors = _extract_stack(tilde)
-            items, cur, values = _leave(errors, layer, items, refusals, cur, values)
-            g[items[:, None], _layer_positions(k, layer)] = values
-            if layer == n_layers - 1 or not len(items):
-                break
-            errors = _spike_refusals(values[:, : 4 * (k - 2 * layer)])
-            items, cur, values = _leave(errors, layer, items, refusals, cur, values)
-            stripped, errors = _remove_ring(cur, values)
-            items, cur, stripped = _leave(errors, layer, items, refusals, cur, stripped)
-            cur, residual[layer, items], scale[layer, items] = _compact(cur, stripped)
-    return g, refusals, (condition, asymmetry, residual, scale)
+            items, cur, values = _leave(errors, m, k_of, items, refusals, cur, values)
+            g[items, 2 * (m - 1) * (m - 2) : 2 * m * (m + 1)] = values
+            if m > 2 and len(items):
+                errors = _spike_refusals(values[:, : 4 * m])
+                items, cur, values = _leave(errors, m, k_of, items, refusals, cur, values)
+                stripped, errors = _remove_ring(cur, values)
+                items, cur, stripped = _leave(errors, m, k_of, items, refusals, cur, stripped)
+                cur, residual[m, items], scale[m, items] = _compact(cur, stripped)
+                if len(items):
+                    pending.setdefault(m - 2, []).append((items, cur))
+            ms[entered] += (time.perf_counter() - t0) * 1000.0 / len(entered)
+    return [
+        (
+            g[lo:hi, _catalog_slots(k)],
+            refusals[lo:hi],
+            tuple(d[k:0:-2, lo:hi] for d in (condition, asymmetry, residual, scale)),
+            ms[lo:hi],
+        )
+        for k, lo, hi in zip(ks, first, first[1:])
+    ]
 
 
 def _resistance_array(g: np.ndarray) -> np.ndarray:
@@ -763,13 +789,14 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
         )
     spec = LatticeSpec(k)
     notes: list[str] = []
-    g, refusals, (condition, asymmetry, residual, diag_scale) = _peel_stack(entries[None], k)
+    g, refusals, (condition, asymmetry, residual, diag_scale), _ = _peel_stack([entries[None]])[0]
     if asymmetry[0, 0] > ASYMMETRY_WARN:  # layer 0's asymmetry is the input's
         note = f"input asymmetry {asymmetry[0, 0]:.3e} above {ASYMMETRY_WARN:.0e}; symmetrize first"
         notes.append(note)
         _warnings.warn(note, RuntimeWarning, stacklevel=2)
-    report = []
-    refusal = refusals[0]
+    report, refusal = [], refusals[0]
+    ring_major = np.empty_like(g[0])
+    ring_major[_catalog_slots(k)] = g[0]
     for layer in range(len(residual) if refusal is None else refusal.layer):
         note = _residual_note(layer, residual[layer, 0], diag_scale[layer, 0])
         if note is not None:
@@ -781,7 +808,7 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
             condition=dict(zip(FACES, condition[layer, 0].tolist())),
             asymmetry=float(asymmetry[layer, 0]),
             residual_max=float(residual[layer, 0]) if m > 2 else None,
-            flags=_flag_texts(m, g[0, _layer_positions(k, layer)]),
+            flags=_flag_texts(m, ring_major[2 * (m - 1) * (m - 2) : 2 * m * (m + 1)]),
         )
         notes.extend(f"layer {layer}: {f}" for f in diag.flags)
         report.append(diag)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import NetworkFormatError, SpecMismatchError
-from .lattice import ConductanceMap, EdgeId, LatticeSpec
+from .lattice import EdgeId, LatticeSpec
 from .reconstruct import ReconstructionResult
 
 
@@ -53,18 +53,6 @@ def compute_delta_map(
             raise ValueError(f"baseline resistance of {e} must be positive, got {r0!r}")
         if not math.isfinite(r1):
             raise ValueError(f"deformed resistance of {e} must be finite, got {r1!r}")
-        delta[e] = (r1 - r0) / r0
-    return DeltaMap(spec=baseline.spec, delta=delta)
-
-
-def delta_map_from_networks(baseline: ConductanceMap, deformed: ConductanceMap) -> DeltaMap:
-    """Delta map straight from two ground-truth networks (test/synthesis aid)."""
-    if baseline.spec != deformed.spec:
-        raise SpecMismatchError("networks have different lengths")
-    delta = {}
-    for e in baseline.spec.edges:
-        r0 = 1.0 / baseline.values[e]
-        r1 = 1.0 / deformed.values[e]
         delta[e] = (r1 - r0) / r0
     return DeltaMap(spec=baseline.spec, delta=delta)
 

@@ -228,9 +228,12 @@ class TestSweepWork:
         peels = count_calls(monkeypatch, "_peel_stack")
         run_noise_sweep([3, 5], [0.0, 1e-6, 1e-3], trials=4, seed=0)
         assert len(solves) == 2
-        assert [len(args[0]) for args in peels] == [4] * 6
+        # one peel for the whole sweep, over one stack per row
+        assert len(peels) == 1
+        stacks = peels[0][0]
+        assert [lam.shape for lam in stacks] == [(4, 12, 12)] * 3 + [(4, 20, 20)] * 3
         # the sigma=0 rows peel the clean stack that the length's other rows share
-        for clean in (peels[0][0], peels[3][0]):
+        for clean in (stacks[0], stacks[3]):
             assert not clean.flags.writeable
             with pytest.raises(ValueError):
                 clean[0, 0, 0] = 0.0
@@ -238,12 +241,13 @@ class TestSweepWork:
     def test_size_sweep_peels_each_row_once(self, monkeypatch):
         peels = count_calls(monkeypatch, "_peel_stack")
         run_size_sweep([3, 5], trials=4, seed=0)
-        assert [len(args[0]) for args in peels] == [4, 4]
+        assert len(peels) == 1
+        assert [lam.shape for lam in peels[0][0]] == [(4, 12, 12), (4, 20, 20)]
 
     def test_timing_profile_keeps_its_warm_up(self, monkeypatch):
         peels = count_calls(monkeypatch, "_peel_stack")
         run_timing_profile([3], trials=4, seed=0)
-        assert [len(args[0]) for args in peels] == [1] * (1 + 4)
+        assert [[lam.shape for lam in args[0]] for args in peels] == [[(1, 12, 12)]] * (1 + 4)
 
 
 class TestSweepValidation:
@@ -254,12 +258,22 @@ class TestSweepValidation:
     }
 
     @pytest.mark.parametrize("sweep", SWEEPS)
-    @pytest.mark.parametrize("bad", [0, -3, 2.5, "4"])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "4", True, np.int64(0), np.float64(4.0)])
     def test_bad_length_named_before_any_work(self, monkeypatch, sweep, bad):
         solves = count_calls(monkeypatch, "_response_stack")
         with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
             self.SWEEPS[sweep]([3, bad])
         assert solves == []
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_numpy_integer_length_is_an_int_row(self, sweep):
+        numpy_rows = self.SWEEPS[sweep]([np.int64(4), np.int32(3)]).rows
+        int_rows = self.SWEEPS[sweep]([4, 3]).rows
+        assert [row.param for row in numpy_rows] == [row.param for row in int_rows]
+        assert [row.param.split(":")[0] for row in numpy_rows] == ["4", "3"]
+        for a, b in zip(numpy_rows, int_rows, strict=True):
+            fields = ("rmse_mean", "rmse_std", "rel_rmse_mean", "failures")
+            assert [repr(getattr(a, f)) for f in fields] == [repr(getattr(b, f)) for f in fields]
 
     @pytest.mark.parametrize("sweep", SWEEPS)
     def test_empty_length_list_rejected(self, sweep):

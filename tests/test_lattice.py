@@ -10,7 +10,6 @@ from rnet.lattice import (
     build_kirchhoff,
     build_lattice,
     forward_boundary_solve,
-    layer_anchor,
     layer_boundary_node,
     layer_length,
     layer_spike_edge,
@@ -24,7 +23,21 @@ from rnet.lattice import (
     rotate_network,
     uniform_conductances,
 )
-from rnet.lattice import _kirchhoff_stack, _response_stack
+from rnet.lattice import _kirchhoff_stack, _layer_face_local, _response_stack
+
+
+def layer_anchor(spec, layer: int, j: int) -> tuple[int, int]:
+    """Interior node ``(r, c)`` the layer-``layer`` spike at boundary index ``j`` leads to."""
+    k = spec.length
+    m = layer_length(k, layer)
+    face, i = _layer_face_local(m, j)
+    if face == "N":
+        return (layer + 1, layer + i)
+    if face == "E":
+        return (layer + i, k - layer)
+    if face == "S":
+        return (k - layer, k + 1 - layer - i)
+    return (k + 1 - layer - i, layer + 1)
 
 
 class TestEdgeId:
@@ -311,6 +324,10 @@ class TestLayerGeometry:
         assert layer_anchor(spec, 0, 16) == (5, 1)
         assert layer_boundary_node(spec, 1, 1) == ("I", 1, 2)
         assert layer_anchor(spec, 1, 1) == (2, 2)
+        for layer, m in ((0, 5), (1, 3), (2, 1)):
+            for j in range(1, 4 * m + 1):
+                anchor = spec.interior_node_index(*layer_anchor(spec, layer, j))
+                assert anchor in spec.edge_endpoints(layer_spike_edge(spec, layer, j))
 
     def test_out_of_range_layers(self):
         with pytest.raises(ValueError):

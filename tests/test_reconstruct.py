@@ -506,7 +506,7 @@ class TestPeelStack:
     def test_each_item_matches_its_own_reconstruction(self):
         k = 5
         stack = mixed_stack(k)
-        g, refusals, _ = _peel_stack(stack, k)
+        g, refusals, _, _ = _peel_stack([stack])[0]
         edges = build_lattice(k).edges
         kinds = []
         for item, lam in enumerate(stack):
@@ -531,6 +531,52 @@ class TestPeelStack:
             SingularBlockError, InvalidConductanceError, InvalidConductanceError, ZeroDivisorError
         ]
 
+    def test_ragged_stacks_match_one_item_peels(self):
+        # Odd and even lengths, k=1 and k=2, two stacks of one length, a stack
+        # refused entirely, and items refused at layers 0, 1 and 2 that share
+        # rings with items of other lengths, all in one pass.
+        spec7 = build_lattice(7)
+        noisy7 = [
+            apply_elementwise_noise(
+                response_matrix(random_conductances(spec7, np.random.default_rng(seed))),
+                1e-6 if seed == 4 else 1e-3,
+                seed,
+            ).entries
+            for seed in range(6)
+        ]
+        stacks = [
+            np.stack([random_lambda(4, seed)[1] for seed in range(2)]),
+            np.stack([random_lambda(1, seed)[1] for seed in range(2)]),
+            mixed_stack(5),
+            np.stack(noisy7),
+            np.stack([random_lambda(2, seed)[1] for seed in range(3)]),
+            np.stack([np.eye(12), np.eye(12)]),
+            np.stack([random_lambda(5, seed)[1] for seed in range(5, 7)]),
+        ]
+        peels = _peel_stack(stacks)
+        outcomes = []
+        for stack, (g, refusals, diagnostics, ms) in zip(stacks, peels, strict=True):
+            k = stack.shape[1] // 4
+            assert g.shape == (len(stack), 2 * k * k + 2 * k)
+            assert ms.shape == (len(stack),) and np.all(np.isfinite(ms) & (ms >= 0))
+            for item, lam in enumerate(stack):
+                g1, (alone,), diagnostics1, _ = _peel_stack([lam[None]])[0]
+                assert g[item].tobytes() == g1[0].tobytes()
+                for d, d1 in zip(diagnostics, diagnostics1, strict=True):
+                    assert d[:, item].tobytes() == d1[:, 0].tobytes()
+                got = refusals[item]
+                if alone is None:
+                    assert got is None
+                    outcomes.append((k, None))
+                    continue
+                assert (type(got), got.layer, str(got)) == (type(alone), alone.layer, str(alone))
+                assert getattr(got, "face", None) == getattr(alone, "face", None)
+                outcomes.append((k, got.layer))
+        assert all(isinstance(r, SingularBlockError) for r in peels[5][1])
+        assert {(7, None), (7, 1), (7, 2), (5, 0), (5, 1), (3, 0), (1, None), (2, None)} <= set(
+            outcomes
+        )
+
     def test_stack_core_warns_about_nothing(self):
         # Deep noise-free items exceed RESIDUAL_WARN, noisy ones are refused,
         # and the zero divisor of the mixed stack divides by zero:
@@ -542,8 +588,9 @@ class TestPeelStack:
             lams.append(apply_elementwise_noise(lam, 1e-3, seed).entries)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, refusals, (_, _, residual, scale) = _peel_stack(np.stack(lams), k)
-            _, mixed_refusals, _ = _peel_stack(mixed_stack(), 5)
+            (_, refusals, (_, _, residual, scale), _), (_, mixed_refusals, _, _) = _peel_stack(
+                [np.stack(lams), mixed_stack()]
+            )
         assert any(r is not None for r in refusals)
         assert isinstance(mixed_refusals[-1], ZeroDivisorError)
         assert np.any(residual > RESIDUAL_WARN * scale)

@@ -12,13 +12,24 @@ from rnet.render import (
     RenderStyle,
     compute_delta_map,
     delta_map_from_json,
-    delta_map_from_networks,
     delta_map_to_json,
     render_delta_map,
 )
 
 LINE_RE = re.compile(r"<line\b[^>]*>")
 EDGE_ATTR_RE = re.compile(r'data-edge="([^"]+)"')
+
+
+def delta_map_from_networks(baseline: ConductanceMap, deformed: ConductanceMap) -> DeltaMap:
+    """Delta map straight from two ground-truth networks."""
+    if baseline.spec != deformed.spec:
+        raise SpecMismatchError("networks have different lengths")
+    delta = {}
+    for e in baseline.spec.edges:
+        r0 = 1.0 / baseline.values[e]
+        r1 = 1.0 / deformed.values[e]
+        delta[e] = (r1 - r0) / r0
+    return DeltaMap(spec=baseline.spec, delta=delta)
 
 
 def reconstruct_net(net):
@@ -174,6 +185,10 @@ class TestRenderDeltaMap:
         dmap = delta_map_from_networks(base, deformed)
         assert dmap.delta[EdgeId.vertical(1, 1)] == pytest.approx(0.5, rel=1e-12)
         assert dmap.delta[EdgeId.spike(1)] == 0.0
+        # the map from two reconstructions recovers the ground-truth one
+        recon = compute_delta_map(reconstruct_net(base), reconstruct_net(deformed))
+        for e in base.spec.edges:
+            assert recon.delta[e] == pytest.approx(dmap.delta[e], abs=1e-12)
 
     def test_style_validation(self):
         with pytest.raises(ValueError):
