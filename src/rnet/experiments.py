@@ -26,12 +26,11 @@ import numpy as np
 from .errors import SpecMismatchError
 from .lattice import (
     ConductanceMap,
-    ResponseMatrix,
     _kirchhoff_stack,
     _random_conductance_array,
     _response_stack,
 )
-from .measure_sim import apply_elementwise_noise
+from .measure_sim import _elementwise_noise
 from .reconstruct import ReconstructionResult, _peel_stack, _resistance_array
 
 # Seed-derivation domains (first spawn_key component).
@@ -98,19 +97,24 @@ def _spread(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1)) if x.size > 1 else 0.0
 
 
-def _check_grid(k_values: Sequence[int], trials: int, sigmas: Sequence[float] = (0.0,)) -> list:
-    """Refuse a bad grid before any work; returns the lengths as ``int``."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def _positive_int(value, what: str) -> int:
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _check_grid(
+    k_values: Sequence[int], trials: int, sigmas: Sequence[float] = (0.0,)
+) -> tuple[list, int]:
+    """Refuse a bad grid before any work; returns the lengths and ``trials`` as ``int``."""
+    trials = _positive_int(trials, "trials")
     if not (len(k_values) and len(sigmas)):
         raise ValueError("a sweep needs at least one length and one sigma")
-    for k in k_values:
-        if isinstance(k, bool) or not (isinstance(k, numbers.Integral) and k >= 1):
-            raise ValueError(f"network length must be a positive integer, got {k!r}")
+    k_values = [_positive_int(k, "network length") for k in k_values]
     for s in sigmas:
         if not (math.isfinite(s) and s >= 0):
             raise ValueError(f"sigma must be >= 0, got {s!r}")
-    return [int(k) for k in k_values]
+    return k_values, trials
 
 
 def _draw_row(k: int, trials: int, seed: int, bounds: tuple[float, float] = (1.0, 2.0)):
@@ -128,9 +132,7 @@ def _noisy(lam: np.ndarray, k: int, seed: int, sigma: float, sigma_index: int) -
     if sigma == 0:
         return lam
     seeds = [_noise_seed(seed, k, sigma_index, t) for t in range(len(lam))]
-    return np.stack(
-        [apply_elementwise_noise(ResponseMatrix(x), sigma, s).entries for x, s in zip(lam, seeds)]
-    )
+    return _elementwise_noise(lam, sigma, seeds)
 
 
 def _row(param: str, g: np.ndarray, peel, one_per_peel: bool = False) -> SweepRow:
@@ -179,7 +181,7 @@ def run_size_sweep(
     failures and excluded from the means; the sweep itself never aborts.
     ``workers`` is accepted for existing callers and ignored.
     """
-    k_values = _check_grid(k_values, trials)
+    k_values, trials = _check_grid(k_values, trials)
     bounds = (resistance_low, resistance_high)
     rows = _peel_rows([(str(k), *_draw_row(k, trials, seed, bounds)) for k in k_values])
     config = {
@@ -209,7 +211,7 @@ def run_noise_sweep(
     peeled in one pass, so the sigma rows of one length share every ring.
     Time columns and ``workers`` as in :func:`run_size_sweep`.
     """
-    k_values = _check_grid(k_values, trials, sigmas)
+    k_values, trials = _check_grid(k_values, trials, sigmas)
     rows = []
     for k in k_values:
         g, lam = _draw_row(k, trials, seed)
@@ -235,7 +237,7 @@ def run_timing_profile(
     its own, so the time columns are the mean and spread of single
     reconstructions.  One warm-up peel per length is discarded.
     """
-    k_values = _check_grid(k_values, trials)
+    k_values, trials = _check_grid(k_values, trials)
     rows = []
     for k in k_values:
         g, lam = _draw_row(k, trials, seed)

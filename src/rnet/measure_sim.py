@@ -148,27 +148,45 @@ def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> Measur
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     column_seeds = seed_seq.spawn(n)
 
+    # Row j of ``readings`` is column j without its driven entry, so each
+    # column's sum runs over one contiguous row, in the order of a 1-D sum.
+    off_diagonal = ~np.eye(n, dtype=bool)
+    readings = (volts * exact.T[off_diagonal]).reshape(n, n - 1)
+    if sigma > 0.0:
+        readings = readings * np.stack(
+            [np.random.default_rng(s).normal(1.0, sigma, size=n - 1) for s in column_seeds]
+        )
+    if isinstance(model, ProtocolNoise) and model.quant_step > 0.0:
+        readings = np.round(readings / model.quant_step) * model.quant_step
     raw = np.empty((n, n))
-    for col in range(n):
-        currents = volts * exact[:, col]
-        others = np.arange(n) != col
-        readings = currents[others]
-        if sigma > 0.0:
-            rng = np.random.default_rng(column_seeds[col])
-            readings = readings * rng.normal(1.0, sigma, size=n - 1)
-        if isinstance(model, ProtocolNoise) and model.quant_step > 0.0:
-            readings = np.round(readings / model.quant_step) * model.quant_step
-        raw[others, col] = readings
-        raw[col, col] = -np.sum(readings)
+    raw.T[off_diagonal] = readings.ravel()
+    raw[np.diag_indices(n)] = -np.sum(readings, axis=1)
 
     lam = matrixkit.symmetrize_average(raw / volts)
     return MeasurementRecord(lam=ResponseMatrix(lam), raw_columns=raw, seed=seed, model=model)
 
 
-def apply_elementwise_noise(lam: ResponseMatrix, sigma: float, seed) -> ResponseMatrix:
-    """Multiply every entry by an independent Normal(1, sigma), then symmetrize."""
+def _elementwise_noise(stack: np.ndarray, sigma: float, seeds) -> np.ndarray:
+    """The elementwise noise rule on an ``(B, n, n)`` stack, one seed per item.
+
+    Item ``b`` is multiplied entrywise by Normal(1, sigma) factors drawn
+    from ``default_rng(seeds[b])``, then averaged with its transpose; only
+    the draws loop over items.  Raises ``ValueError`` for a negative or
+    non-finite sigma and for a non-finite result.
+    """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be >= 0, got {sigma!r}")
-    rng = np.random.default_rng(seed)
-    factors = rng.normal(1.0, sigma, size=lam.entries.shape)
-    return ResponseMatrix(matrixkit.symmetrize_average(lam.entries * factors))
+    factors = np.stack(
+        [np.random.default_rng(s).normal(1.0, sigma, size=stack.shape[1:]) for s in seeds]
+    )
+    noisy = np.multiply(stack, factors, out=factors)
+    noisy = noisy + noisy.swapaxes(1, 2)
+    noisy /= 2.0
+    if not np.isfinite(noisy).all():
+        raise ValueError("matrix entries must be finite")
+    return noisy
+
+
+def apply_elementwise_noise(lam: ResponseMatrix, sigma: float, seed) -> ResponseMatrix:
+    """Multiply every entry by an independent Normal(1, sigma), then symmetrize."""
+    return ResponseMatrix(_elementwise_noise(lam.entries[None], sigma, [seed])[0])

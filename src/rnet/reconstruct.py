@@ -750,6 +750,7 @@ def _peel_stack(lams: Sequence[np.ndarray]):
             if m > 2 and len(items):
                 errors = _spike_refusals(values[:, : 4 * m])
                 items, cur, values = _leave(errors, m, k_of, items, refusals, cur, values)
+            if m > 2 and len(items):
                 stripped, errors = _remove_ring(cur, values)
                 items, cur, stripped = _leave(errors, m, k_of, items, refusals, cur, stripped)
                 cur, residual[m, items], scale[m, items] = _compact(cur, stripped)

@@ -22,7 +22,13 @@ from rnet.experiments import (
     run_timing_profile,
     sweep_to_csv,
 )
-from rnet.lattice import ConductanceMap, build_lattice, random_conductances, response_matrix
+from rnet.lattice import (
+    ConductanceMap,
+    ResponseMatrix,
+    build_lattice,
+    random_conductances,
+    response_matrix,
+)
 from rnet.measure_sim import apply_elementwise_noise
 from rnet.reconstruct import ReconstructionResult, reconstruct_full
 
@@ -208,6 +214,49 @@ class TestNoiseSweep:
             run_noise_sweep([3], [-0.1], trials=2)
 
 
+class TestNoisyRow:
+    """A noise-sweep row corrupts its stack at once, trial by trial equal to the public B=1 call."""
+
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    @pytest.mark.parametrize("sigma", [1e-6, 1e-3, 3e-2])
+    def test_stack_equals_per_trial_noise(self, k, sigma):
+        seed, sigma_index = 3, 2
+        _, lam = experiments._draw_row(k, 5, seed)
+        got = experiments._noisy(lam, k, seed, sigma, sigma_index)
+        seeds = [_noise_seed(seed, k, sigma_index, t) for t in range(len(lam))]
+        per_trial = [
+            apply_elementwise_noise(ResponseMatrix(x), sigma, s).entries for x, s in zip(lam, seeds)
+        ]
+        assert got.tobytes() == np.stack(per_trial).tobytes()
+        for x, s, y in zip(lam, seeds, got, strict=True):  # the rule, written out
+            noisy = x * np.random.default_rng(s).normal(1.0, sigma, size=x.shape)
+            assert y.tobytes() == ((noisy + noisy.T) / 2.0).tobytes()
+        assert not np.shares_memory(got, lam)
+
+    def test_sigma_zero_passes_the_shared_stack_through(self):
+        _, lam = experiments._draw_row(4, 3, 0)
+        assert experiments._noisy(lam, 4, 0, 0.0, 0) is lam
+        assert not lam.flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.nan, 1e308])
+    def test_non_finite_entry_raises_as_per_trial_noise_does(self, bad):
+        _, lam = experiments._draw_row(3, 2, 0)
+        lam = lam.copy()
+        lam[1, 0, :] = bad  # 1e308 overflows in the average with the transpose
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                experiments._noisy(lam, 3, 0, 1e-3, 0)
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                for t, x in enumerate(lam):
+                    apply_elementwise_noise(ResponseMatrix(x), 1e-3, _noise_seed(0, 3, 0, t))
+
+    @pytest.mark.parametrize("sigma", [-1e-3, math.nan, math.inf])
+    def test_bad_sigma_refused(self, sigma):
+        _, lam = experiments._draw_row(3, 2, 0)
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            experiments._noisy(lam, 3, 0, sigma, 0)
+
+
 def count_calls(monkeypatch, name):
     """Wrap ``rnet.experiments.<name>``; returns the list of each call's positional args."""
     calls, original = [], getattr(experiments, name)
@@ -256,6 +305,11 @@ class TestSweepValidation:
         "noise": lambda ks: run_noise_sweep(ks, [1e-3], trials=2),
         "timing": lambda ks: run_timing_profile(ks, trials=2),
     }
+    SWEEP_TRIALS = {
+        "size": lambda trials: run_size_sweep([3], trials=trials, seed=1),
+        "noise": lambda trials: run_noise_sweep([3], [1e-3], trials=trials, seed=1),
+        "timing": lambda trials: run_timing_profile([3], trials=trials, seed=1),
+    }
 
     @pytest.mark.parametrize("sweep", SWEEPS)
     @pytest.mark.parametrize("bad", [0, -3, 2.5, "4", True, np.int64(0), np.float64(4.0)])
@@ -264,6 +318,25 @@ class TestSweepValidation:
         with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
             self.SWEEPS[sweep]([3, bad])
         assert solves == []
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, "3", True, np.float64(3.0), np.int64(0)])
+    def test_bad_trials_named_before_any_work(self, monkeypatch, sweep, bad):
+        solves = count_calls(monkeypatch, "_response_stack")
+        message = f"^trials must be a positive integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            self.SWEEP_TRIALS[sweep](bad)
+        assert solves == []
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_numpy_integer_trials_stored_as_int(self, sweep):
+        numpy_result = self.SWEEP_TRIALS[sweep](np.int64(3))
+        int_result = self.SWEEP_TRIALS[sweep](3)
+        assert numpy_result.config["trials"] == "3"
+        assert all(type(row.trials) is int and row.trials == 3 for row in numpy_result.rows)
+        assert strip_time_columns(sweep_to_csv(numpy_result)) == strip_time_columns(
+            sweep_to_csv(int_result)
+        )
 
     @pytest.mark.parametrize("sweep", SWEEPS)
     def test_numpy_integer_length_is_an_int_row(self, sweep):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from rnet.lattice import build_lattice, random_conductances, response_matrix, uniform_conductances
+from rnet.lattice import (
+    ResponseMatrix,
+    build_lattice,
+    random_conductances,
+    response_matrix,
+    uniform_conductances,
+)
 from rnet.measure_sim import (
     NO_NOISE,
     ElementwiseNoise,
@@ -125,6 +131,48 @@ class TestSimulateMeasurement:
             assert np.allclose(others / q, np.round(others / q), atol=1e-9)
 
 
+def per_column_measurement(net, model, seed):
+    """``simulate_measurement`` one driven column at a time, as a rig acquires them."""
+    exact = response_matrix(net).entries
+    n = exact.shape[0]
+    volts = model.source_volts if isinstance(model, ProtocolNoise) else 5.0
+    sigma = 0.0
+    if isinstance(model, ElementwiseNoise):
+        sigma = model.sigma
+    elif isinstance(model, ProtocolNoise):
+        sigma = 1.0 / model.snr
+    column_seeds = np.random.SeedSequence(seed).spawn(n)
+    raw = np.empty((n, n))
+    for col in range(n):
+        others = np.arange(n) != col
+        readings = (volts * exact[:, col])[others]
+        if sigma > 0.0:
+            readings = readings * np.random.default_rng(column_seeds[col]).normal(1.0, sigma, n - 1)
+        if isinstance(model, ProtocolNoise) and model.quant_step > 0.0:
+            readings = np.round(readings / model.quant_step) * model.quant_step
+        raw[others, col] = readings
+        raw[col, col] = -np.sum(readings)
+    lam = raw / volts
+    return raw, (lam + lam.T) / 2.0
+
+
+class TestMeasurementOracle:
+    @pytest.mark.parametrize("model", [
+        NO_NOISE,
+        ElementwiseNoise(0.02),
+        ProtocolNoise(230.0),
+        ProtocolNoise(230.0, quant_step=1e-3),
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 9])
+    def test_matches_per_column_loop_bitwise(self, model, k):
+        for seed in range(4):
+            net = random_conductances(build_lattice(k), np.random.default_rng(100 + seed))
+            record = simulate_measurement(net, model, seed=seed)
+            raw, lam = per_column_measurement(net, model, seed)
+            assert record.raw_columns.tobytes() == raw.tobytes()
+            assert record.lam.entries.tobytes() == lam.tobytes()
+
+
 class TestApplyElementwiseNoise:
     def test_sigma_zero_is_identity(self):
         net = random_conductances(build_lattice(3), np.random.default_rng(8))
@@ -141,6 +189,24 @@ class TestApplyElementwiseNoise:
         net = uniform_conductances(build_lattice(1))
         with pytest.raises(ValueError):
             apply_elementwise_noise(response_matrix(net), -0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        lam = response_matrix(uniform_conductances(build_lattice(1)))
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            apply_elementwise_noise(lam, sigma, seed=0)
+
+    def test_non_finite_result_rejected(self):
+        lam = ResponseMatrix(np.full((4, 4), 1e308))  # overflows when averaged with its transpose
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                apply_elementwise_noise(lam, 1e-3, seed=0)
+
+    def test_matches_the_rule_written_out(self):
+        lam = response_matrix(random_conductances(build_lattice(3), np.random.default_rng(2)))
+        noisy = lam.entries * np.random.default_rng(7).normal(1.0, 0.05, size=(12, 12))
+        out = apply_elementwise_noise(lam, 0.05, seed=7)
+        assert out.entries.tobytes() == ((noisy + noisy.T) / 2.0).tobytes()
 
     def test_pair_averaging_reduces_offdiagonal_noise(self):
         # averaging entry (i,j) with (j,i) leaves relative std sigma/sqrt(2)

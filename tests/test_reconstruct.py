@@ -577,6 +577,34 @@ class TestPeelStack:
             outcomes
         )
 
+    def test_ring_refused_entirely_at_the_spike_check_is_not_removed(self, monkeypatch):
+        # Both items lose a ring-1 spike, so ring 3 has no items left to strip.
+        import rnet.reconstruct as reconstruct
+
+        calls = {"_remove_ring": [], "_compact": []}
+
+        def counted(name):
+            original = getattr(reconstruct, name)
+
+            def wrapper(lam, *args):
+                calls[name].append(len(lam))
+                return original(lam, *args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(reconstruct, name, counted(name))
+        stack = mixed_stack(5)[-3:-1]
+        g, refusals, _, _ = _peel_stack([stack])[0]
+        assert [(type(r), r.layer) for r in refusals] == [(InvalidConductanceError, 1)] * 2
+        assert all("conductance must be positive" in str(r) for r in refusals)
+        assert calls == {"_remove_ring": [2], "_compact": [2]}  # ring 5 only
+        for item, lam in enumerate(stack):
+            with pytest.raises(InvalidConductanceError) as err:
+                reconstruct_full(lam, 5)
+            assert str(err.value) == str(refusals[item])
+            assert np.isnan(g[item]).any()
+
     def test_stack_core_warns_about_nothing(self):
         # Deep noise-free items exceed RESIDUAL_WARN, noisy ones are refused,
         # and the zero divisor of the mixed stack divides by zero:
