@@ -7,8 +7,9 @@ draws and forward-solves each length's networks once, shares them among
 that length's sigma rows, and its sigma=0 column reproduces the size sweep.
 
 Each row's networks are drawn as one ``(trials, E)`` array and
-forward-solved together, all rows of a sweep are peeled together in one
-pass, and each trial gives the same bits as the per-network API would.
+forward-solved together, a noise row corrupts its stack at once with only
+the draws taken trial by trial, all rows of a sweep are peeled together in
+one pass, and each trial gives the same bits as the per-network API would.
 """
 
 from __future__ import annotations
@@ -103,9 +104,7 @@ def _positive_int(value, what: str) -> int:
     return int(value)
 
 
-def _check_grid(
-    k_values: Sequence[int], trials: int, sigmas: Sequence[float] = (0.0,)
-) -> tuple[list, int]:
+def _check_grid(k_values: Sequence[int], trials: int, sigmas: Sequence[float] = (0.0,)) -> tuple:
     """Refuse a bad grid before any work; returns the lengths and ``trials`` as ``int``."""
     trials = _positive_int(trials, "trials")
     if not (len(k_values) and len(sigmas)):

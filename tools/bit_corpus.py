@@ -27,8 +27,8 @@ import warnings
 import numpy as np
 
 from rnet import (
-    ElementwiseNoise,
     NO_NOISE,
+    ElementwiseNoise,
     ProtocolNoise,
     RnetError,
     apply_elementwise_noise,
