@@ -6,7 +6,7 @@ class RnetError(Exception):
 
 
 class SingularMatrixError(RnetError):
-    """A pivot fell below the singularity floor during factorization."""
+    """A linear solve met an exactly singular matrix."""
 
 
 class DimensionMismatchError(RnetError):

@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -64,13 +64,13 @@ class EdgeId:
 
     @staticmethod
     def parse(text: str) -> "EdgeId":
-        parts = text.split(":")
         try:
+            parts = text.split(":")
             if parts[0] == "S" and len(parts) == 2:
                 return EdgeId.spike(int(parts[1]))
             if parts[0] in ("H", "V") and len(parts) == 3:
                 return EdgeId(parts[0], int(parts[1]), int(parts[2]))
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: not a string
             pass
         raise NetworkFormatError(f"malformed edge id {text!r}")
 
@@ -82,7 +82,7 @@ class LatticeSpec:
     length: int
 
     def __post_init__(self):
-        if not isinstance(self.length, int) or self.length < 1:
+        if isinstance(self.length, bool) or not isinstance(self.length, int) or self.length < 1:
             raise ValueError(f"network length must be a positive integer, got {self.length!r}")
 
     @property
@@ -92,10 +92,6 @@ class LatticeSpec:
     @property
     def n_interior(self) -> int:
         return self.length * self.length
-
-    @property
-    def n_nodes(self) -> int:
-        return self.n_boundary + self.n_interior
 
     @property
     def n_edges(self) -> int:
@@ -168,6 +164,17 @@ def _edge_set(k: int) -> frozenset[EdgeId]:
     return frozenset(_edge_catalog(k))
 
 
+def _check_edge_set(spec: LatticeSpec, edges) -> None:
+    """Raise ``ValueError`` unless ``edges`` is exactly the catalog of ``spec``."""
+    catalog = _edge_set(spec.length)
+    if edges != catalog:
+        missing = sorted(str(e) for e in catalog - set(edges))[:4]
+        extra = sorted(str(e) for e in set(edges) - catalog)[:4]
+        raise ValueError(
+            f"edge set mismatch for length {spec.length}: missing {missing}, extra {extra}"
+        )
+
+
 def build_lattice(k: int) -> LatticeSpec:
     """Topology of the length-``k`` network, with its ordered edge catalog."""
     return LatticeSpec(k)
@@ -187,15 +194,7 @@ class ConductanceMap:
     check_values: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.values.keys() != _edge_set(self.spec.length):
-            catalog = set(self.spec.edges)
-            got = set(self.values.keys())
-            missing = sorted(str(e) for e in catalog - got)[:4]
-            extra = sorted(str(e) for e in got - catalog)[:4]
-            raise ValueError(
-                f"edge set mismatch for length {self.spec.length}: "
-                f"missing {missing}, extra {extra}"
-            )
+        _check_edge_set(self.spec, self.values.keys())
         if self.check_values:
             for e, g in self.values.items():
                 if not (isinstance(g, (int, float)) and math.isfinite(g) and g > 0):
@@ -494,7 +493,11 @@ def layer_tangential_edge(spec: LatticeSpec, layer: int, face: str, i: int) -> E
 
 
 # ---------------------------------------------------------------------------
-# Network document serialization
+# Per-edge documents
+#
+# Every rnet JSON document names its schema and network length and gives
+# one value per edge.  The two readers below hold every rule the documents
+# share; each document's reader adds only its own value rule.
 
 NETWORK_SCHEMA = "rnet-network/1"
 
@@ -517,30 +520,76 @@ def _reject_duplicate_keys(pairs):
     return dict(pairs)
 
 
-def network_from_json(text: str) -> ConductanceMap:
-    """Parse a network document, rejecting missing/extra/duplicate edges."""
+def _read_document(text: str, schema: str, field: str, kind: type):
+    """Parse an rnet JSON document into its lattice and its per-edge ``field``.
+
+    The document must be valid JSON, carry ``schema`` and a positive
+    integer ``length`` (``true`` is not one), and hold ``field`` as a
+    ``kind``.  A ``dict`` field is keyed by edge id, so such a document
+    refuses a repeated key in any object.
+
+    Returns ``(spec, doc[field])``.  Raises ``NetworkFormatError`` for a
+    document that breaks any of these rules.
+    """
+    hook = _reject_duplicate_keys if kind is dict else None
     try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        doc = json.loads(text, object_pairs_hook=hook)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema") != NETWORK_SCHEMA:
-        raise NetworkFormatError(f"expected schema {NETWORK_SCHEMA!r}")
+    if not isinstance(doc, dict) or doc.get("schema") != schema:
+        raise NetworkFormatError(f"expected schema {schema!r}")
     length = doc.get("length")
-    if not isinstance(length, int) or length < 1:
+    if isinstance(length, bool) or not isinstance(length, int) or length < 1:
         raise NetworkFormatError(f"invalid length {length!r}")
-    raw = doc.get("conductances")
-    if not isinstance(raw, dict):
-        raise NetworkFormatError("missing conductances object")
-    spec = LatticeSpec(length)
+    body = doc.get(field)
+    if not isinstance(body, kind):
+        raise NetworkFormatError(f"missing {field} {'object' if kind is dict else 'array'}")
+    return LatticeSpec(length), body
+
+
+def _edge_values(
+    spec: LatticeSpec, pairs: Iterable[tuple], rule: str, accept: Callable[[float], bool]
+) -> dict[EdgeId, float]:
+    """Catalog-complete ``{EdgeId: float}`` from ``(id, value)`` pairs.
+
+    Each edge must be named exactly once: an alias such as ``S:01`` beside
+    ``S:1`` is a repeat.  Each value must be a number (``bool`` is not one)
+    that passes ``accept``; ``rule`` says what ``accept`` asks for.
+
+    Raises:
+        NetworkFormatError: for a malformed id, a repeated edge, a refused
+            value, or an edge set other than the catalog of ``spec``.
+    """
     values: dict[EdgeId, float] = {}
-    for key, val in raw.items():
+    for key, val in pairs:
         edge = EdgeId.parse(key)
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise NetworkFormatError(f"conductance of {key} must be a number")
-        if not math.isfinite(val) or val <= 0:
-            raise NetworkFormatError(f"conductance of {key} must be positive and finite")
-        values[edge] = float(val)
+        try:  # JSON numbers are exactly int or float; bool is neither
+            number = float(val) if type(val) in (int, float) else None
+        except OverflowError:  # an int beyond float range
+            number = None
+        if number is None or not accept(number):
+            raise NetworkFormatError(f"{key}: {rule}, got {val!r}")
+        size = len(values)
+        values[edge] = number
+        if len(values) == size:
+            raise NetworkFormatError(f"edge {edge} named twice, the second time as {key!r}")
+    # Counting first keeps a huge declared length from building its catalog.
+    if len(values) != spec.n_edges:
+        raise NetworkFormatError(
+            f"{len(values)} edges given for length {spec.length}, which has {spec.n_edges}"
+        )
     try:
-        return ConductanceMap(spec, values)
+        _check_edge_set(spec, values.keys())
     except ValueError as exc:
         raise NetworkFormatError(str(exc)) from None
+    return values
+
+
+def network_from_json(text: str) -> ConductanceMap:
+    """Parse a network document, rejecting missing/extra/repeated edges."""
+    spec, raw = _read_document(text, NETWORK_SCHEMA, "conductances", dict)
+    values = _edge_values(
+        spec, raw.items(), "conductance must be positive and finite",
+        lambda g: math.isfinite(g) and g > 0,
+    )
+    return ConductanceMap(spec, values)

@@ -1,22 +1,16 @@
-"""Dense matrix kernel: validation, a reference pivoted LU and CSV exchange.
+"""Dense matrix helpers: validation, symmetrization and CSV exchange.
 
 Everything here treats arrays as immutable values: inputs are never
 modified and every operation returns a freshly allocated array.  The
-solver is a row-pivoted LU with a hard relative pivot floor, so a
-conditioning collapse surfaces as :class:`SingularMatrixError` instead of
-silently propagating NaNs.  Like everything here it casts its input to
-float64, so it is no reference for other dtypes; the forward model and
-the peel do not call it, and solve with numpy's LAPACK instead.
+forward model and the peel solve with numpy's LAPACK.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMatrixError
-
-# A pivot below PIVOT_FLOOR * max|entry of the input| is treated as an
-# exact singularity.
+# The peel refuses an opposite-face block whose condition number reaches
+# 1 / PIVOT_FLOOR (``reconstruct._tilde_stack``).
 PIVOT_FLOOR = 1e-14
 
 
@@ -35,71 +29,6 @@ def _square(data) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:
-    """Row-pivoted LU factorization of a square matrix.
-
-    Returns ``(lu, perm)`` where ``lu`` packs the unit-lower and upper
-    factors and ``perm`` records the row permutation (``a[perm]`` is the
-    matrix actually factored).
-
-    Raises:
-        SingularMatrixError: when the best available pivot falls below
-            ``PIVOT_FLOOR * max|a|``.
-    """
-    a = _square(a)
-    n = a.shape[0]
-    lu = a.copy()
-    perm = np.arange(n)
-    if n == 0:
-        return lu, perm
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        raise SingularMatrixError("zero matrix")
-    floor = PIVOT_FLOOR * scale
-    for col in range(n):
-        rel = col + int(np.argmax(np.abs(lu[col:, col])))
-        pivot = lu[rel, col]
-        if abs(pivot) < floor:
-            raise SingularMatrixError(
-                f"pivot {abs(pivot):.3e} below floor {floor:.3e} at column {col}"
-            )
-        if rel != col:
-            lu[[col, rel]] = lu[[rel, col]]
-            perm[[col, rel]] = perm[[rel, col]]
-        lu[col + 1 :, col] /= pivot
-        lu[col + 1 :, col + 1 :] -= np.outer(lu[col + 1 :, col], lu[col, col + 1 :])
-    return lu, perm
-
-
-def solve_linear_system(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by pivoted LU with forward/back substitution.
-
-    ``b`` may be a vector or a matrix of stacked right-hand sides; the
-    result has the same number of dimensions.
-    """
-    a = _square(a)
-    rhs = np.array(b, dtype=np.float64)
-    if rhs.size and not np.all(np.isfinite(rhs)):
-        raise ValueError("right-hand side entries must be finite")
-    vector = rhs.ndim == 1
-    if vector:
-        rhs = rhs[:, None]
-    if rhs.ndim != 2 or rhs.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"right-hand side shape {rhs.shape} does not match matrix {a.shape}"
-        )
-    lu, perm = lu_factor(a)
-    x = rhs[perm]
-    n = a.shape[0]
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            x[i] -= lu[i, i + 1 :] @ x[i + 1 :]
-        x[i] /= lu[i, i]
-    return x[:, 0] if vector else x
 
 
 def symmetrize_average(m) -> np.ndarray:

@@ -5,15 +5,20 @@ node at the source voltage with the rest grounded, read the currents at
 all other nodes, and derive the driven node's current from conservation
 (it is never measured directly).  Two corruption models are provided:
 
-* ``ElementwiseNoise``: every matrix entry multiplied by an independent
-  Normal(1, sigma) factor - the model used for the accuracy sweeps.
 * ``ProtocolNoise``: per-measurement relative noise of 1/SNR on the
   non-driven current readings, optionally quantized to an ADC step, with
   the driven entry derived from conservation and so inheriting their
   correlated error.  It models reading noise only, not the electronics'
   systematic errors (shunt, relays, ADC offsets).
+* ``ElementwiseNoise``: relative noise ``sigma``.  Under
+  ``simulate_measurement`` (and so ``rnet measure --noise
+  elementwise:<sigma>``) it perturbs each non-driven reading by a
+  Normal(1, sigma) factor, by the same rule as ``protocol:<1/sigma>``.  The
+  accuracy sweeps use the entrywise rule instead, in which every matrix
+  entry, the diagonal included, gets its own factor:
+  ``apply_elementwise_noise``.
 
-Both paths end with transpose-averaging so the returned matrix is
+Every path ends with transpose-averaging so the returned matrix is
 exactly symmetric.
 """
 
@@ -38,7 +43,13 @@ class NoNoise:
 
 @dataclass(frozen=True)
 class ElementwiseNoise:
-    """Independent multiplicative Normal(1, sigma) on every entry."""
+    """Relative noise ``sigma``; where it lands depends on the caller.
+
+    ``simulate_measurement`` multiplies each non-driven reading by an
+    independent Normal(1, sigma) factor and derives the driven entry by
+    conservation, as ``ProtocolNoise(1 / sigma)`` does.  The sweeps
+    multiply every matrix entry instead (``apply_elementwise_noise``).
+    """
 
     sigma: float
 
@@ -94,18 +105,6 @@ def parse_noise_spec(text: str) -> NoiseModel:
     except ValueError as exc:
         raise ValueError(f"bad noise spec {text!r}: {exc}") from None
     raise ValueError(f"bad noise spec {text!r}")
-
-
-def noise_spec_string(model: NoiseModel) -> str:
-    if isinstance(model, NoNoise):
-        return "none"
-    if isinstance(model, ElementwiseNoise):
-        return f"elementwise:{model.sigma:g}"
-    if isinstance(model, ProtocolNoise):
-        if model.quant_step > 0:
-            return f"protocol:{model.snr:g}:{model.quant_step:g}"
-        return f"protocol:{model.snr:g}"
-    raise TypeError(f"unknown noise model {model!r}")
 
 
 @dataclass(frozen=True, eq=False)

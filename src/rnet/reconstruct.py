@@ -56,7 +56,8 @@ from .lattice import (
     EdgeId,
     LatticeSpec,
     ResponseMatrix,
-    layer_boundary_node,
+    _edge_values,
+    _read_document,
     layer_spike_edge,
     layer_tangential_edge,
 )
@@ -367,14 +368,6 @@ class PeelState:
             current_lambda=matrixkit.as_matrix(lam),
             current_length=spec.length,
             layer=0,
-        )
-
-    @property
-    def index_map(self) -> tuple:
-        """Physical node behind each boundary index of the current sub-network."""
-        return tuple(
-            layer_boundary_node(self.spec, self.layer, j)
-            for j in range(1, 4 * self.current_length + 1)
         )
 
 
@@ -871,33 +864,13 @@ def reconstruction_to_json(result: ReconstructionResult) -> str:
 
 
 def reconstruction_edges_from_json(text: str) -> tuple[LatticeSpec, dict[EdgeId, float]]:
-    """Load ``(spec, per-edge resistance)`` from a reconstruction document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema") != RECONSTRUCTION_SCHEMA:
-        raise NetworkFormatError(f"expected schema {RECONSTRUCTION_SCHEMA!r}")
-    length = doc.get("length")
-    if not isinstance(length, int) or length < 1:
-        raise NetworkFormatError(f"invalid length {length!r}")
-    spec = LatticeSpec(length)
-    edges = doc.get("edges")
-    if not isinstance(edges, list):
-        raise NetworkFormatError("missing edges array")
-    resist: dict[EdgeId, float] = {}
-    for item in edges:
-        if not isinstance(item, dict) or "id" not in item:
-            raise NetworkFormatError("malformed edge record")
-        edge = EdgeId.parse(item["id"])
-        if edge in resist:
-            raise NetworkFormatError(f"duplicate edge {item['id']!r}")
-        value = item.get("resistance")
-        if value is None:
-            value = math.nan
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise NetworkFormatError(f"resistance of {item['id']} must be a number")
-        resist[edge] = float(value)
-    if set(resist) != set(spec.edges):
-        raise NetworkFormatError("edge set does not match the declared length")
-    return spec, resist
+    """Load ``(spec, per-edge resistance)`` from a reconstruction document.
+
+    A ``null`` or absent resistance loads as NaN.
+    """
+    spec, records = _read_document(text, RECONSTRUCTION_SCHEMA, "edges", list)
+    if not all(isinstance(item, dict) and "id" in item for item in records):
+        raise NetworkFormatError("malformed edge record")
+    pairs = ((item["id"], item.get("resistance")) for item in records)
+    pairs = ((key, math.nan if value is None else value) for key, value in pairs)
+    return spec, _edge_values(spec, pairs, "resistance must be a number or null", lambda r: True)

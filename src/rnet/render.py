@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import NetworkFormatError, SpecMismatchError
-from .lattice import EdgeId, LatticeSpec
+from .errors import SpecMismatchError
+from .lattice import EdgeId, LatticeSpec, _check_edge_set, _edge_values, _read_document
 from .reconstruct import ReconstructionResult
 
 
@@ -27,8 +27,7 @@ class DeltaMap:
     delta: Mapping[EdgeId, float]
 
     def __post_init__(self):
-        if set(self.delta.keys()) != set(self.spec.edges):
-            raise ValueError(f"delta must cover every edge of length {self.spec.length}")
+        _check_edge_set(self.spec, self.delta.keys())
         for e, d in self.delta.items():
             if not math.isfinite(d):
                 raise ValueError(f"delta of {e} must be finite, got {d!r}")
@@ -70,29 +69,8 @@ def delta_map_to_json(dmap: DeltaMap) -> str:
 
 
 def delta_map_from_json(text: str) -> DeltaMap:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema") != DELTA_SCHEMA:
-        raise NetworkFormatError(f"expected schema {DELTA_SCHEMA!r}")
-    length = doc.get("length")
-    if not isinstance(length, int) or length < 1:
-        raise NetworkFormatError(f"invalid length {length!r}")
-    raw = doc.get("delta")
-    if not isinstance(raw, dict):
-        raise NetworkFormatError("missing delta object")
-    spec = LatticeSpec(length)
-    delta = {}
-    for key, val in raw.items():
-        edge = EdgeId.parse(key)
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-            raise NetworkFormatError(f"delta of {key} must be a finite number")
-        delta[edge] = float(val)
-    try:
-        return DeltaMap(spec, delta)
-    except ValueError as exc:
-        raise NetworkFormatError(str(exc)) from None
+    spec, raw = _read_document(text, DELTA_SCHEMA, "delta", dict)
+    return DeltaMap(spec, _edge_values(spec, raw.items(), "delta must be finite", math.isfinite))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from rnet import lattice
 from rnet.errors import NetworkFormatError
 from rnet.lattice import (
     ConductanceMap,
     EdgeId,
+    LatticeSpec,
     build_kirchhoff,
     build_lattice,
     forward_boundary_solve,
@@ -80,6 +82,10 @@ class TestTopology:
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
             build_lattice(0)
+
+    def test_bool_length_rejected(self):
+        with pytest.raises(ValueError, match="network length must be a positive integer"):
+            LatticeSpec(True)
 
     def test_anchor_tables(self):
         spec = build_lattice(3)
@@ -182,7 +188,7 @@ class TestResponseMatrix:
         net = random_conductances(build_lattice(k), np.random.default_rng(seed))
         spec = net.spec
         kirchhoff = build_kirchhoff(net)
-        nb, nn = spec.n_boundary, spec.n_nodes
+        nb, nn = spec.n_boundary, spec.n_boundary + spec.n_interior
         oracle = np.zeros((nb, nb))
         for drive in range(nb):
             system = kirchhoff.copy()
@@ -418,3 +424,33 @@ class TestNetworkJson:
     def test_invalid_json_rejected(self):
         with pytest.raises(NetworkFormatError):
             network_from_json("{not json")
+
+    def test_alias_beside_canonical_id_rejected(self):
+        doc = json.loads(network_to_json(uniform_conductances(build_lattice(1))))
+        doc["conductances"]["S:01"] = 123.0
+        with pytest.raises(NetworkFormatError, match="S:1 named twice"):
+            network_from_json(json.dumps(doc))
+
+    def test_bool_length_rejected(self):
+        doc = json.loads(network_to_json(uniform_conductances(build_lattice(1))))
+        doc["length"] = True
+        with pytest.raises(NetworkFormatError, match="invalid length True"):
+            network_from_json(json.dumps(doc))
+
+    def test_integer_beyond_float_range_rejected(self):
+        doc = json.loads(network_to_json(uniform_conductances(build_lattice(1))))
+        doc["conductances"]["S:1"] = 10**400
+        with pytest.raises(NetworkFormatError, match="S:1: conductance must be positive"):
+            network_from_json(json.dumps(doc))
+
+    def test_huge_length_refused_without_building_its_catalog(self, monkeypatch):
+        catalog = lattice._edge_catalog
+
+        def small_catalog(k):
+            assert k <= 100, f"catalog of length {k} built"
+            return catalog(k)
+
+        monkeypatch.setattr(lattice, "_edge_catalog", small_catalog)
+        doc = {"schema": "rnet-network/1", "length": 10**6, "conductances": {"S:1": 1.0}}
+        with pytest.raises(NetworkFormatError, match="1 edges given for length 1000000"):
+            network_from_json(json.dumps(doc))

@@ -14,11 +14,21 @@ from rnet.measure_sim import (
     NoNoise,
     ProtocolNoise,
     apply_elementwise_noise,
-    noise_spec_string,
     parse_noise_spec,
     simulate_measurement,
     snr_to_sigma,
 )
+
+
+def noise_spec_string(model) -> str:
+    """The ``parse_noise_spec`` text of a noise model."""
+    if isinstance(model, NoNoise):
+        return "none"
+    if isinstance(model, ElementwiseNoise):
+        return f"elementwise:{model.sigma:g}"
+    if model.quant_step > 0:
+        return f"protocol:{model.snr:g}:{model.quant_step:g}"
+    return f"protocol:{model.snr:g}"
 
 
 class TestSnrToSigma:

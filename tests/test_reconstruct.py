@@ -17,6 +17,7 @@ from rnet.lattice import (
     ConductanceMap,
     EdgeId,
     build_lattice,
+    layer_boundary_node,
     layer_spike_edge,
     random_conductances,
     response_matrix,
@@ -294,7 +295,10 @@ class TestPeel:
         spec = build_lattice(4)
         ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
         state = peel_layer(PeelState.initial(spec, lam), ext)
-        assert state.index_map[0] == ("I", 1, 2)
+        index_map = [
+            layer_boundary_node(spec, state.layer, j) for j in range(1, 4 * state.current_length + 1)
+        ]
+        assert index_map[0] == ("I", 1, 2)
 
     def test_peel_matches_subnetwork_forward_model(self):
         k = 5
@@ -654,3 +658,23 @@ class TestReconstructionJson:
             reconstruction_edges_from_json("{}")
         with pytest.raises(NetworkFormatError):
             reconstruction_edges_from_json('{"schema": "rnet-recon/1", "length": 1, "edges": []}')
+
+    def test_bool_length_rejected(self):
+        import json
+
+        from rnet.errors import NetworkFormatError
+
+        doc = json.loads(reconstruction_to_json(reconstruct_full(unit_lambda(1), 1)))
+        doc["length"] = True
+        with pytest.raises(NetworkFormatError, match="invalid length True"):
+            reconstruction_edges_from_json(json.dumps(doc))
+
+    def test_non_string_id_rejected(self):
+        import json
+
+        from rnet.errors import NetworkFormatError
+
+        doc = json.loads(reconstruction_to_json(reconstruct_full(unit_lambda(1), 1)))
+        doc["edges"][0]["id"] = 1
+        with pytest.raises(NetworkFormatError, match="malformed edge id 1"):
+            reconstruction_edges_from_json(json.dumps(doc))

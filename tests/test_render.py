@@ -108,6 +108,27 @@ class TestDeltaJson:
         with pytest.raises(NetworkFormatError):
             delta_map_from_json(json.dumps(doc))
 
+    def delta_text(self) -> str:
+        spec = build_lattice(1)
+        return delta_map_to_json(DeltaMap(spec, {e: 0.25 for e in spec.edges}))
+
+    def test_alias_beside_canonical_id_rejected(self):
+        doc = json.loads(self.delta_text())
+        doc["delta"]["S:01"] = 0.5
+        with pytest.raises(NetworkFormatError, match="S:1 named twice"):
+            delta_map_from_json(json.dumps(doc))
+
+    def test_repeated_key_rejected(self):
+        text = self.delta_text().replace('"S:1": 0.25', '"S:1": 0.25, "S:1": 0.5', 1)
+        with pytest.raises(NetworkFormatError, match="duplicate key 'S:1'"):
+            delta_map_from_json(text)
+
+    def test_bool_length_rejected(self):
+        doc = json.loads(self.delta_text())
+        doc["length"] = True
+        with pytest.raises(NetworkFormatError, match="invalid length True"):
+            delta_map_from_json(json.dumps(doc))
+
 
 class TestRenderDeltaMap:
     def zero_map(self, k=3):

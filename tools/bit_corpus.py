@@ -11,8 +11,9 @@ outputs::
 Each line is ``<case> <digest>``, where the digest is the first 16 hex
 digits of a SHA-256 over the case's raw float64 bytes (or its refusal's
 type and message).  Sweep CSVs are digested with their wall-time columns
-blanked.  The script uses only the public ``rnet`` API, so it runs on
-any version that has it.  It takes a few seconds on a 2-core host.
+blanked, and the reconstruction document with its elapsed time dropped.
+The script uses only the public ``rnet`` API, so it runs on any version
+that has it.  It takes a few seconds on a 2-core host.
 It is not a test: pytest does not collect it.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import re
 import sys
 import warnings
 
@@ -33,13 +35,21 @@ from rnet import (
     RnetError,
     apply_elementwise_noise,
     build_lattice,
+    compute_delta_map,
+    delta_map_from_json,
+    delta_map_to_json,
+    forward_boundary_solve,
+    network_from_json,
+    network_to_json,
     random_conductances,
     reconstruct_full,
+    reconstruction_to_json,
     response_matrix,
     simulate_measurement,
     uniform_conductances,
 )
 from rnet.experiments import run_noise_sweep, run_size_sweep, run_timing_profile, sweep_to_csv
+from rnet.reconstruct import reconstruction_edges_from_json
 
 TIME_COLUMNS = {"time_ms_mean", "time_ms_std"}
 SIZE_K = [4, 6, 8, 10, 12, 14]
@@ -122,6 +132,50 @@ def measurement_cases():
                 yield f"measure k={k} {name} net={i}", value
 
 
+def forward_cases():
+    """``response_matrix`` at k=16 and ``forward_boundary_solve`` at k=1, 4, 9, 16."""
+    for seed in range(4):
+        net = random_conductances(build_lattice(16), np.random.default_rng(seed))
+        yield f"response k=16 seed={seed}", digest(response_matrix(net).entries)
+    for k in (1, 4, 9, 16):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            net = random_conductances(build_lattice(k), rng)
+            solved = forward_boundary_solve(net, rng.uniform(-1.0, 1.0, 4 * k))
+            value = digest(solved.currents, solved.interior_potentials)
+            yield f"forward solve k={k} seed={seed}", value
+
+
+def writer_cases():
+    """Network, delta and reconstruction documents at k=1, 4, and the values read back.
+
+    The reconstruction document's elapsed time is dropped.
+    """
+    for k in (1, 4):
+        spec = build_lattice(k)
+        for seed in range(4):
+            base = random_conductances(spec, np.random.default_rng(seed))
+            deformed = random_conductances(spec, np.random.default_rng(seed + 100))
+            rec0 = reconstruct_full(response_matrix(base), k)
+            rec1 = reconstruct_full(response_matrix(deformed), k)
+            net_text = network_to_json(base)
+            back = network_from_json(net_text).values
+            yield f"network json k={k} seed={seed}", digest(
+                net_text.encode(), np.array([back[e] for e in spec.edges])
+            )
+            delta_text = delta_map_to_json(compute_delta_map(rec0, rec1))
+            back = delta_map_from_json(delta_text).delta
+            yield f"delta json k={k} seed={seed}", digest(
+                delta_text.encode(), np.array([back[e] for e in spec.edges])
+            )
+            recon_text = reconstruction_to_json(rec0)
+            back = reconstruction_edges_from_json(recon_text)[1]
+            recon_text = re.sub(r'"elapsedMs": [^\n]*', '"elapsedMs": null', recon_text)
+            yield f"recon json k={k} seed={seed}", digest(
+                recon_text.encode(), np.array([back[e] for e in spec.edges])
+            )
+
+
 def main() -> int:
     warnings.simplefilter("ignore", RuntimeWarning)
     for name, value in reconstruction_cases():
@@ -129,6 +183,10 @@ def main() -> int:
     for name, result in sweep_cases():
         print(name, digest(untimed_csv(result)))
     for name, value in measurement_cases():
+        print(name, value)
+    for name, value in forward_cases():
+        print(name, value)
+    for name, value in writer_cases():
         print(name, value)
     return 0
 
