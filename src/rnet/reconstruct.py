@@ -21,7 +21,8 @@ One pass over the current boundary works in three moves:
 
 Every stage works on a ``(B, 4m, 4m)`` stack, whose items may come from
 networks of different lengths, and an item leaves it at its first refusal;
-``reconstruct_full`` and the public stage functions are the B=1 case.
+``reconstruct_full`` and the ring-by-ring pair ``extract_boundary_conductances``
+and ``peel_layer`` are the B=1 case.
 Boundary indices here are 1-based, as in the lattice; arrays are 0-based.
 """
 
@@ -32,7 +33,7 @@ import json
 import math
 import time
 import warnings as _warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -72,49 +73,6 @@ RESIDUAL_WARN = 1e-8
 ASYMMETRY_WARN = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class FaceBlocks:
-    """The 16 face-by-face blocks of a response matrix."""
-
-    length: int
-    blocks: dict[tuple[str, str], np.ndarray]
-
-    def __getitem__(self, pair: tuple[str, str]) -> np.ndarray:
-        return self.blocks[pair]
-
-    def assemble(self) -> np.ndarray:
-        rows = [np.hstack([self.blocks[(f, g)] for g in FACES]) for f in FACES]
-        return np.vstack(rows)
-
-
-def face_blocks(lam, k: int | None = None) -> FaceBlocks:
-    """Split a ``4m``-by-``4m`` response matrix into its face blocks."""
-    a = matrixkit.as_matrix(lam)
-    if a.shape[0] != a.shape[1] or a.shape[0] % 4 != 0 or a.shape[0] == 0:
-        raise DimensionMismatchError(
-            f"response matrix order must be a positive multiple of 4, got {a.shape}"
-        )
-    m = a.shape[0] // 4
-    if k is not None and k != m:
-        raise DimensionMismatchError(f"expected length {k}, matrix implies {m}")
-    ranges = {face: slice(idx * m, (idx + 1) * m) for idx, face in enumerate(FACES)}
-    # Views into ``a``, which as_matrix already copied from the caller's data.
-    blocks = {(f, g): a[ranges[f], ranges[g]] for f in FACES for g in FACES}
-    return FaceBlocks(length=m, blocks=blocks)
-
-
-@dataclass(frozen=True, eq=False)
-class FaceTildeSet:
-    """Per-face reduction matrices (opposite face eliminated)."""
-
-    length: int
-    matrices: dict[str, np.ndarray]
-    condition: dict[str, float]
-
-    def __getitem__(self, face: str) -> np.ndarray:
-        return self.matrices[face]
-
-
 # For each face: its own block, the coupling to the adjacent face, the
 # opposite-face block to invert and the continuation back to this face.
 _TILDE_RECIPE = {
@@ -152,8 +110,11 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _tilde_stack(lam: np.ndarray):
     """Face reductions ``(A, 4, m, m)`` of a ``(A, 4m, 4m)`` stack.
 
-    Also returns the opposite blocks' condition numbers ``(A, 4)`` and the
-    refusal of each item whose opposite block is ill-conditioned.
+    All four opposite blocks of every item are solved in one stacked LAPACK
+    call whose right-hand side also carries the identity, so the same solve
+    yields each block's inverse and hence its infinity-norm condition
+    number.  Also returns those condition numbers ``(A, 4)`` and the refusal
+    of each item whose opposite block reaches ``1 / matrixkit.PIVOT_FLOOR``.
     """
     n_items, m = len(lam), lam.shape[1] // 4
     blocks = lam.reshape(n_items, 4, m, 4, m).swapaxes(2, 3)  # [item, f, g] is block (f, g)
@@ -172,25 +133,6 @@ def _tilde_stack(lam: np.ndarray):
         for i, f in _first_flags(~(cond < 1.0 / matrixkit.PIVOT_FLOOR)).items()
     }
     return own - coupling @ x[..., :m], cond, errors
-
-
-def tilde_face_matrices(blocks: FaceBlocks) -> FaceTildeSet:
-    """Eliminate each face's opposite block and return the four reductions.
-
-    All four opposite blocks are solved in one stacked LAPACK call whose
-    right-hand side also carries the identity, so the same solve yields
-    each block's inverse and hence its infinity-norm condition number.
-
-    Raises:
-        SingularBlockError: when an opposite-face block's condition number
-            reaches ``1 / matrixkit.PIVOT_FLOOR``, which signals a
-            degenerate or overly noisy response matrix.
-    """
-    tilde, cond, errors = _tilde_stack(blocks.assemble()[None])
-    if errors:
-        raise errors[0]
-    condition = dict(zip(FACES, cond[0].tolist()))
-    return FaceTildeSet(blocks.length, dict(zip(FACES, tilde[0])), condition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,16 +201,31 @@ def _flag_texts(m: int, values: np.ndarray) -> tuple[str, ...]:
     return tuple(text for _, text in sorted(found))
 
 
-def extract_boundary_conductances(tilde: FaceTildeSet) -> PeelExtraction:
-    """Read all spike and boundary-edge conductances from the face reductions.
+def extract_boundary_conductances(lam) -> PeelExtraction:
+    """Read all spike and boundary-edge conductances of a response matrix's outer ring.
 
-    The spike at face-local position ``j`` is the ``j``-th diagonal entry of
-    that face's reduction; the edge between positions ``j`` and ``j+1``
-    divides the spike product by the informative off-diagonal entry
-    (``[j+1, j]`` for faces N and S, ``[j, j+1]`` for E and W).
+    ``lam`` is ``4m``-by-``4m``.  The spike at face-local position ``j`` is
+    the ``j``-th diagonal entry of that face's reduction; the edge between
+    positions ``j`` and ``j+1`` divides the spike product by the informative
+    off-diagonal entry (``[j+1, j]`` for faces N and S, ``[j, j+1]`` for E
+    and W).
+
+    Raises:
+        DimensionMismatchError: the order is not a positive multiple of 4.
+        SingularBlockError: an opposite-face block's condition number
+            reaches ``1 / matrixkit.PIVOT_FLOOR``, which signals a
+            degenerate or overly noisy response matrix.
+        ZeroDivisorError: an edge divisor is too small.
     """
-    m = tilde.length
-    values, errors = _extract_stack(np.stack([tilde.matrices[f] for f in FACES])[None])
+    a = matrixkit.as_matrix(lam)
+    if a.shape[0] != a.shape[1] or a.shape[0] % 4 != 0 or a.shape[0] == 0:
+        raise DimensionMismatchError(
+            f"response matrix order must be a positive multiple of 4, got {a.shape}"
+        )
+    m = a.shape[0] // 4
+    tilde, _, errors = _tilde_stack(a[None])
+    if not errors:
+        values, errors = _extract_stack(tilde)
     if errors:
         raise errors[0]
     return PeelExtraction(m, values[0, : 4 * m], values[0, 4 * m :], _flag_texts(m, values[0]))
@@ -349,26 +306,6 @@ class LayerDiagnostics:
     asymmetry: float
     residual_max: float | None = None
     flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True, eq=False)
-class PeelState:
-    """Working state of the reconstruction between layers."""
-
-    spec: LatticeSpec
-    current_lambda: np.ndarray
-    current_length: int
-    layer: int
-    last_residual_max: float | None = None
-
-    @classmethod
-    def initial(cls, spec: LatticeSpec, lam: np.ndarray) -> "PeelState":
-        return cls(
-            spec=spec,
-            current_lambda=matrixkit.as_matrix(lam),
-            current_length=spec.length,
-            layer=0,
-        )
 
 
 def corner_index_pairs(m: int) -> list[tuple[int, int]]:
@@ -584,71 +521,64 @@ def _compact(lam: np.ndarray, stripped: np.ndarray) -> tuple[np.ndarray, np.ndar
     return compact, residual, scale
 
 
-def _residual_note(layer: int, residual: float, scale: float) -> str | None:
+def _residual_note(residual: float, scale: float) -> str | None:
     """The warning a layer's residual earns beyond ``RESIDUAL_WARN``, if any."""
     if not residual > RESIDUAL_WARN * scale:
         return None
     return (
-        f"layer {layer}: isolated-row residual {residual:.3e} "
+        f"isolated-row residual {residual:.3e} "
         f"exceeds {RESIDUAL_WARN:.0e} * diagonal scale {scale:.3e}"
     )
 
 
 def peel_layer(
-    state: PeelState,
+    lam,
     extraction: PeelExtraction,
     schedule: Sequence[tuple] | None = None,
     residual_limit: float | None = None,
-) -> PeelState:
-    """Remove the current boundary layer and compact the response matrix.
+) -> tuple[np.ndarray, float]:
+    """Remove the outer ring of ``lam`` and compact it to the ``4(m-2)``-order response matrix.
 
-    By default the whole layer goes in one block update; an explicit
+    Returns that matrix and the residual max-norm of the deleted rows.  By
+    default the whole layer goes in one block update; an explicit
     ``schedule`` is applied one removal at a time instead, which is the
     reference the block form is checked against.
 
     Which rows get deleted is decided by lattice combinatorics, never by
-    thresholding; their residual max-norm is recorded (and warned about
-    beyond ``RESIDUAL_WARN`` relative to the largest diagonal), because
-    under noise the "zero" rows are merely small.
+    thresholding; their residual is warned about beyond ``RESIDUAL_WARN``
+    relative to the largest diagonal, because under noise the "zero" rows
+    are merely small.
 
     Raises:
+        DimensionMismatchError: ``lam`` is not of order ``4 * extraction.length``.
         InvalidConductanceError: any of the layer's spikes is nonpositive
             or not finite, whichever rule would remove it.
         DegenerateDeltaError: the spikes are inconsistent with the matrix.
         ResidualTooLargeError: only when ``residual_limit`` is given and
             exceeded; by default large residuals warn and proceed.
     """
-    m = state.current_length
+    a, m = matrixkit.as_matrix(lam), extraction.length
+    if a.shape != (4 * m, 4 * m):
+        raise DimensionMismatchError(f"extraction is for length {m}, matrix has shape {a.shape}")
     if m < 3:
         raise ValueError(f"peeling needs current length >= 3, got {m}")
-    if extraction.length != m:
-        raise DimensionMismatchError(
-            f"extraction is for length {extraction.length}, state has {m}"
-        )
-    lam = state.current_lambda[None]
     errors = _spike_refusals(extraction.spikes[None])
     if not errors:
         if schedule is None:
             values = np.concatenate([extraction.spikes, extraction.edges])
-            stripped, errors = _remove_ring(lam, values[None])
+            stripped, errors = _remove_ring(a[None], values[None])
         else:
-            stripped = apply_schedule(state.current_lambda, schedule)[None]
+            stripped = apply_schedule(a, schedule)[None]
     if errors:
         raise errors[0]
 
-    compact, residual, scale = _compact(lam, stripped)
-    note = _residual_note(state.layer, residual[0], scale[0])
+    compact, residual, scale = _compact(a[None], stripped)
+    note = _residual_note(residual[0], scale[0])
     if note is not None:
         if residual_limit is not None and residual[0] > residual_limit:
             raise ResidualTooLargeError(note)
         _warnings.warn(note, RuntimeWarning, stacklevel=2)
-    return replace(
-        state,
-        current_lambda=compact[0],
-        current_length=m - 2,
-        layer=state.layer + 1,
-        last_residual_max=float(residual[0]),
-    )
+    return compact[0], float(residual[0])
 
 
 # ---------------------------------------------------------------------------
@@ -792,9 +722,9 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
     ring_major = np.empty_like(g[0])
     ring_major[_catalog_slots(k)] = g[0]
     for layer in range(len(residual) if refusal is None else refusal.layer):
-        note = _residual_note(layer, residual[layer, 0], diag_scale[layer, 0])
+        note = _residual_note(residual[layer, 0], diag_scale[layer, 0])
         if note is not None:
-            _warnings.warn(note, RuntimeWarning, stacklevel=1)
+            _warnings.warn(f"layer {layer}: {note}", RuntimeWarning, stacklevel=1)
         m = k - 2 * layer
         diag = LayerDiagnostics(
             layer=layer,

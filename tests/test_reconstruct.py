@@ -19,6 +19,7 @@ from rnet.lattice import (
     build_lattice,
     layer_boundary_node,
     layer_spike_edge,
+    layer_tangential_edge,
     random_conductances,
     response_matrix,
     rotate_edge,
@@ -29,21 +30,18 @@ from rnet.measure_sim import apply_elementwise_noise
 from rnet.reconstruct import (
     RESIDUAL_WARN,
     PeelExtraction,
-    PeelState,
     apply_edge_removal,
     apply_schedule,
     apply_spike_removal,
     extract_boundary_conductances,
-    face_blocks,
     isolated_indices,
     peel_layer,
     reconstruct_full,
     reconstruction_edges_from_json,
     reconstruction_to_json,
     removal_schedule,
-    tilde_face_matrices,
 )
-from rnet.reconstruct import _peel_stack
+from rnet.reconstruct import _peel_stack, _tilde_stack
 
 
 def unit_lambda(k: int) -> np.ndarray:
@@ -55,60 +53,43 @@ def random_lambda(k: int, seed: int):
     return net, response_matrix(net).entries
 
 
-class TestFaceBlocks:
-    def test_face_index_ranges_length4(self):
-        lam = unit_lambda(4)
-        blocks = face_blocks(lam)
-        assert np.array_equal(blocks[("N", "N")], lam[0:4, 0:4])
-        assert np.array_equal(blocks[("E", "S")], lam[4:8, 8:12])
-        assert np.array_equal(blocks[("W", "N")], lam[12:16, 0:4])
-
-    def test_reassembly_is_identity(self):
-        lam = random_lambda(3, 5)[1]
-        assert np.array_equal(face_blocks(lam).assemble(), lam)
-
-    def test_degenerate_length1_blocks_are_scalars(self):
-        blocks = face_blocks(unit_lambda(1))
-        assert all(b.shape == (1, 1) for b in blocks.blocks.values())
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            face_blocks(np.eye(6))
-        with pytest.raises(DimensionMismatchError):
-            face_blocks(unit_lambda(2), k=3)
+def face_reductions(lam: np.ndarray) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """The four face reductions of one response matrix and their opposite blocks' conditions."""
+    tilde, cond, errors = _tilde_stack(lam[None])
+    assert errors == {}
+    return dict(zip("NESW", tilde[0])), dict(zip("NESW", cond[0].tolist()))
 
 
 class TestTildeFaces:
     def test_unit_length2_north(self):
-        tilde = tilde_face_matrices(face_blocks(unit_lambda(2)))
+        tilde, _ = face_reductions(unit_lambda(2))
         assert np.allclose(tilde["N"], [[1.0, 0.0], [1.0, 1.0]], rtol=0, atol=1e-12)
 
     def test_uniform_net_face_relations(self):
         # Quarter-turn symmetry of a uniform network relates the four face
         # reductions pairwise; opposite faces agree and adjacent ones are
         # transposes (the construction alternates continuation direction).
-        tilde = tilde_face_matrices(face_blocks(unit_lambda(3)))
+        tilde, _ = face_reductions(unit_lambda(3))
         assert np.allclose(tilde["N"], tilde["S"], rtol=0, atol=1e-12)
         assert np.allclose(tilde["E"], tilde["W"], rtol=0, atol=1e-12)
         assert np.allclose(tilde["E"], tilde["N"].T, rtol=0, atol=1e-12)
 
     def test_random_diagonal_matches_spike_truth(self):
         net, lam = random_lambda(3, 42)
-        spec = net.spec
-        tilde = tilde_face_matrices(face_blocks(lam))
+        tilde, _ = face_reductions(lam)
         for offset, face in zip((0, 3, 6, 9), "NESW"):
             for j in range(1, 4):
                 truth = net.values[EdgeId.spike(offset + j)]
                 assert tilde[face][j - 1, j - 1] == pytest.approx(truth, rel=1e-10)
 
     def test_condition_estimates_recorded(self):
-        tilde = tilde_face_matrices(face_blocks(unit_lambda(2)))
-        assert set(tilde.condition) == set("NESW")
-        assert all(c >= 1.0 for c in tilde.condition.values())
+        _, condition = face_reductions(unit_lambda(2))
+        assert set(condition) == set("NESW")
+        assert all(c >= 1.0 for c in condition.values())
 
     def test_singular_opposite_block(self):
         with pytest.raises(SingularBlockError) as err:
-            tilde_face_matrices(face_blocks(np.eye(8)))
+            extract_boundary_conductances(np.eye(8))
         assert err.value.face == "N"
 
     def test_near_singular_opposite_block(self):
@@ -117,31 +98,33 @@ class TestTildeFaces:
         lam = unit_lambda(3).copy()
         lam[9:12, 3:6] = [[1.0, 1.0, 0.0], [1.0, 1.0 + 2.0**-50, 0.0], [0.0, 0.0, 1.0]]
         with pytest.raises(SingularBlockError) as err:
-            tilde_face_matrices(face_blocks(lam))
+            extract_boundary_conductances(lam)
         assert err.value.face == "N"
 
 
 class TestExtraction:
     def test_unit_length2(self):
-        ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(unit_lambda(2))))
+        ext = extract_boundary_conductances(unit_lambda(2))
         assert ext.spikes.shape == (8,)
         assert ext.spikes == pytest.approx(np.ones(8), abs=1e-12)
         assert ext.edges.shape == (4,)  # one per face: anchors (1,2), (3,4), (5,6), (7,8)
         assert ext.edges == pytest.approx(np.ones(4), abs=1e-12)
         assert ext.flags == ()
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            extract_boundary_conductances(np.eye(6))
+
     def test_uniform_scaling(self):
         net, lam = random_lambda(2, 7)
-        ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
-        ext_scaled = extract_boundary_conductances(
-            tilde_face_matrices(face_blocks(3.0 * lam))
-        )
+        ext = extract_boundary_conductances(lam)
+        ext_scaled = extract_boundary_conductances(3.0 * lam)
         assert ext_scaled.spikes == pytest.approx(3.0 * ext.spikes, rel=1e-12)
         assert ext_scaled.edges == pytest.approx(3.0 * ext.edges, rel=1e-12)
 
     def test_random_length2_full_match(self):
         net, lam = random_lambda(2, 123)
-        ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
+        ext = extract_boundary_conductances(lam)
         for b in range(1, 9):
             assert ext.spikes[b - 1] == pytest.approx(net.values[EdgeId.spike(b)], rel=1e-10)
         # At length 2 each face has one tangential edge, between its anchors 1 and 2.
@@ -159,7 +142,7 @@ class TestExtraction:
         # corrupt hard enough to drive an estimate negative but keep blocks invertible
         bad = lam.copy()
         bad[0, 0] = -0.3
-        ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(bad)))
+        ext = extract_boundary_conductances(bad)
         negative = [v for v in ext.spikes if v <= 0]
         assert negative
         assert ext.spikes[0] <= 0
@@ -273,31 +256,15 @@ def random_valid_schedule(m, extraction, rng):
 class TestPeel:
     def test_unit_length4_peels_to_unit_length2(self):
         lam = unit_lambda(4)
-        spec = build_lattice(4)
-        ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
-        state = peel_layer(PeelState.initial(spec, lam), ext)
-        assert state.current_length == 2
-        assert state.current_lambda.shape == (8, 8)
-        assert np.allclose(state.current_lambda, unit_lambda(2), rtol=0, atol=1e-10)
-
-    def test_dimension_bookkeeping(self):
-        lam = unit_lambda(4)
-        spec = build_lattice(4)
-        ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
-        state0 = PeelState.initial(spec, lam)
-        assert state0.current_lambda.shape == (16, 16)
-        state1 = peel_layer(state0, ext)
-        assert state1.current_lambda.shape == (8, 8)
-        assert state1.layer == 1
+        inner, _ = peel_layer(lam, extract_boundary_conductances(lam))
+        assert inner.shape == (8, 8)
+        assert np.allclose(inner, unit_lambda(2), rtol=0, atol=1e-10)
 
     def test_index_map_after_peel(self):
         lam = unit_lambda(4)
         spec = build_lattice(4)
-        ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
-        state = peel_layer(PeelState.initial(spec, lam), ext)
-        index_map = [
-            layer_boundary_node(spec, state.layer, j) for j in range(1, 4 * state.current_length + 1)
-        ]
+        inner, _ = peel_layer(lam, extract_boundary_conductances(lam))
+        index_map = [layer_boundary_node(spec, 1, j) for j in range(1, len(inner) + 1)]
         assert index_map[0] == ("I", 1, 2)
 
     def test_peel_matches_subnetwork_forward_model(self):
@@ -305,8 +272,7 @@ class TestPeel:
         spec = build_lattice(k)
         net = random_conductances(spec, np.random.default_rng(77))
         lam = response_matrix(net).entries
-        ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
-        state = peel_layer(PeelState.initial(spec, lam), ext)
+        inner, _ = peel_layer(lam, extract_boundary_conductances(lam))
         sub_spec = build_lattice(k - 2)
         sub_values = {}
         for j in range(1, 4 * (k - 2) + 1):
@@ -318,13 +284,36 @@ class TestPeel:
             for c in range(1, k - 1):
                 sub_values[EdgeId.vertical(r, c)] = net.values[EdgeId.vertical(r + 1, c + 1)]
         sub_lam = response_matrix(ConductanceMap(sub_spec, sub_values)).entries
-        assert np.abs(state.current_lambda - sub_lam).max() <= 1e-10
+        assert np.abs(inner - sub_lam).max() <= 1e-10
 
     def test_residual_is_tiny_for_exact_data(self):
         net, lam = random_lambda(5, 31)
-        ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
-        state = peel_layer(PeelState.initial(net.spec, lam), ext)
-        assert state.last_residual_max <= 1e-12
+        _, residual = peel_layer(lam, extract_boundary_conductances(lam))
+        assert residual <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 7, 8])
+    def test_ring_by_ring_matches_reconstruct_full(self, k):
+        net, lam = random_lambda(k, 60 + k)
+        spec, found = net.spec, {}
+        for layer in range((k + 1) // 2):
+            m = k - 2 * layer
+            ext = extract_boundary_conductances(lam)
+            for j in range(1, 4 * m + 1):
+                found[layer_spike_edge(spec, layer, j)] = ext.spikes[j - 1]
+            for f, face in enumerate("NESW"):
+                for i in range(1, m):
+                    found[layer_tangential_edge(spec, layer, face, i)] = ext.edges[f * (m - 1) + i - 1]
+            if m > 2:
+                lam, _ = peel_layer(lam, ext)
+        full = reconstruct_full(response_matrix(net), k).conductances.values
+        assert found.keys() == set(spec.edges)
+        rings = np.array([found[e] for e in spec.edges])
+        assert rings.tobytes() == np.array([full[e] for e in spec.edges]).tobytes()
+
+    def test_extraction_of_another_length_refused(self):
+        lam = unit_lambda(5)
+        with pytest.raises(DimensionMismatchError):
+            peel_layer(lam, extract_boundary_conductances(unit_lambda(4)))
 
     def test_isolated_rows_structural_set(self):
         assert isolated_indices(4) == (1, 4, 5, 8, 9, 12, 13, 16)
@@ -332,15 +321,14 @@ class TestPeel:
 
     def test_wrong_extraction_warns_and_hard_limit_raises(self):
         net, lam = random_lambda(4, 15)
-        ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
+        ext = extract_boundary_conductances(lam)
         bad_spikes = ext.spikes.copy()
         bad_spikes[1] = bad_spikes[1] * 1.5  # boundary index 2
         bad = type(ext)(length=ext.length, spikes=bad_spikes, edges=ext.edges)
-        state = PeelState.initial(net.spec, lam)
-        with pytest.warns(RuntimeWarning):
-            peel_layer(state, bad)
+        with pytest.warns(RuntimeWarning, match="^isolated-row residual"):
+            peel_layer(lam, bad)
         with pytest.raises(ResidualTooLargeError):
-            peel_layer(state, bad, residual_limit=1e-6)
+            peel_layer(lam, bad, residual_limit=1e-6)
 
     @pytest.mark.parametrize("slack", [0.0, 2.0**-50], ids=["exact", "near"])
     def test_inconsistent_spikes_refused(self, slack):
@@ -353,24 +341,22 @@ class TestPeel:
         edges = np.ones(4 * (m - 1))
         ext = PeelExtraction(length=m, spikes=spikes, edges=edges)
         with pytest.raises(DegenerateDeltaError):
-            peel_layer(PeelState.initial(build_lattice(m), lam), ext)
+            peel_layer(lam, ext)
 
     def test_needs_interior(self):
         net, lam = random_lambda(2, 1)
-        ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
         with pytest.raises(ValueError):
-            peel_layer(PeelState.initial(net.spec, lam), ext)
+            peel_layer(lam, extract_boundary_conductances(lam))
 
     @pytest.mark.parametrize("k,seed", [(3, 0), (4, 1), (5, 2), (6, 3), (8, 4)])
     def test_schedule_independence(self, k, seed):
         net, lam = random_lambda(k, seed)
-        ext = extract_boundary_conductances(tilde_face_matrices(face_blocks(lam)))
-        state = PeelState.initial(net.spec, lam)
-        canonical = peel_layer(state, ext).current_lambda
+        ext = extract_boundary_conductances(lam)
+        canonical, _ = peel_layer(lam, ext)
         rng = np.random.default_rng(seed + 1000)
         for _ in range(10):
             schedule = random_valid_schedule(k, ext, rng)
-            alt = peel_layer(state, ext, schedule=schedule).current_lambda
+            alt, _ = peel_layer(lam, ext, schedule=schedule)
             assert np.abs(alt - canonical).max() <= 1e-10
 
     def test_apply_schedule_rejects_unknown_step(self):
