@@ -65,12 +65,13 @@ class EdgeId:
     @staticmethod
     def parse(text: str) -> "EdgeId":
         try:
-            parts = text.split(":")
-            if parts[0] == "S" and len(parts) == 2:
-                return EdgeId.spike(int(parts[1]))
-            if parts[0] in ("H", "V") and len(parts) == 3:
-                return EdgeId(parts[0], int(parts[1]), int(parts[2]))
-        except (AttributeError, ValueError):  # AttributeError: not a string
+            kind, *numbers = text.split(":")
+            if all(n.isascii() and n.isdigit() for n in numbers):  # int() also takes "1_0", " 2"
+                if kind == "S" and len(numbers) == 1:
+                    return EdgeId.spike(int(numbers[0]))
+                if kind in ("H", "V") and len(numbers) == 2:
+                    return EdgeId(kind, int(numbers[0]), int(numbers[1]))
+        except (AttributeError, ValueError):  # not a string; more digits than int() takes
             pass
         raise NetworkFormatError(f"malformed edge id {text!r}")
 
@@ -197,7 +198,8 @@ class ConductanceMap:
         _check_edge_set(self.spec, self.values.keys())
         if self.check_values:
             for e, g in self.values.items():
-                if not (isinstance(g, (int, float)) and math.isfinite(g) and g > 0):
+                number = isinstance(g, (int, float)) and not isinstance(g, bool)
+                if not (number and math.isfinite(g) and g > 0):
                     raise ValueError(f"conductance of {e} must be positive and finite, got {g!r}")
 
     def __getitem__(self, edge: EdgeId) -> float:

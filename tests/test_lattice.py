@@ -57,6 +57,14 @@ class TestEdgeId:
         with pytest.raises(NetworkFormatError):
             EdgeId.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["S:1_0", "S: 2", "S:2 ", "H:+1:1", "V:1:-1", "S:\u0661"])
+    def test_non_ascii_digit_parts_rejected(self, bad):
+        with pytest.raises(NetworkFormatError, match="malformed edge id"):
+            EdgeId.parse(bad)
+
+    def test_leading_zero_still_parses(self):
+        assert EdgeId.parse("S:01") == EdgeId.spike(1)
+
 
 class TestTopology:
     @pytest.mark.parametrize("k", range(1, 11))
@@ -362,6 +370,11 @@ class TestConductanceMap:
         values[EdgeId.spike(1)] = 0.0
         with pytest.raises(ValueError):
             ConductanceMap(spec, values)
+
+    def test_bool_rejected(self):
+        spec = build_lattice(1)
+        with pytest.raises(ValueError, match="must be positive and finite, got True"):
+            ConductanceMap(spec, {e: True for e in spec.edges})
 
     def test_unchecked_mode_for_reconstruction_outputs(self):
         spec = build_lattice(1)
