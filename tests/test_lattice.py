@@ -62,9 +62,6 @@ class TestEdgeId:
         with pytest.raises(NetworkFormatError, match="malformed edge id"):
             EdgeId.parse(bad)
 
-    def test_leading_zero_still_parses(self):
-        assert EdgeId.parse("S:01") == EdgeId.spike(1)
-
 
 class TestTopology:
     @pytest.mark.parametrize("k", range(1, 11))

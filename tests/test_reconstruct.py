@@ -300,9 +300,9 @@ class TestPeel:
             ext = extract_boundary_conductances(lam)
             for j in range(1, 4 * m + 1):
                 found[layer_spike_edge(spec, layer, j)] = ext.spikes[j - 1]
-            for f, face in enumerate("NESW"):
-                for i in range(1, m):
-                    found[layer_tangential_edge(spec, layer, face, i)] = ext.edges[f * (m - 1) + i - 1]
+            faces = [(face, i) for face in "NESW" for i in range(1, m)]
+            for (face, i), g in zip(faces, ext.edges, strict=True):
+                found[layer_tangential_edge(spec, layer, face, i)] = g
             if m > 2:
                 lam, _ = peel_layer(lam, ext)
         full = reconstruct_full(response_matrix(net), k).conductances.values
