@@ -38,6 +38,7 @@ from .lattice import (
 )
 from .reconstruct import (
     ReconstructionResult,
+    _reciprocal,
     reconstruct_full,
     reconstruction_edges_from_json,
     reconstruction_to_json,
@@ -152,10 +153,8 @@ def _load_response_csv(path: str, length: int | None) -> tuple[ResponseMatrix, i
 
 def _load_reconstruction(path: str) -> ReconstructionResult:
     spec, resist = reconstruction_edges_from_json(_read_text(path))
-    conduct = {e: (1.0 / r if r != 0.0 else float("inf")) for e, r in resist.items()}
-    network = ConductanceMap(spec, conduct, check_values=False)
     return ReconstructionResult(
-        conductances=network,
+        conductances=ConductanceMap(spec, _reciprocal(resist.array), check_values=False),
         resistances=resist,
         report=(),
         elapsed_ms=0.0,

@@ -32,7 +32,7 @@ from .lattice import (
     _response_stack,
 )
 from .measure_sim import _elementwise_noise
-from .reconstruct import ReconstructionResult, _peel_stack, _resistance_array
+from .reconstruct import ReconstructionResult, _peel_stack, _reciprocal
 
 # Seed-derivation domains (first spawn_key component).
 _DOMAIN_NETWORK = 0
@@ -53,9 +53,7 @@ def rmse_metrics(truth: ConductanceMap, recon: ReconstructionResult) -> ErrorMet
         raise SpecMismatchError(
             f"truth has length {truth.spec.length}, reconstruction {recon.spec.length}"
         )
-    true_r = np.array([1.0 / truth.values[e] for e in truth.spec.edges])
-    recon_r = np.array([recon.resistances[e] for e in truth.spec.edges])
-    rmse, rel = _resistance_errors(true_r, recon_r)
+    rmse, rel = _resistance_errors(1.0 / truth.values.array, recon.resistances.array)
     return ErrorMetrics(rmse=float(rmse), rel_rmse=float(rel))
 
 
@@ -142,7 +140,7 @@ def _row(param: str, g: np.ndarray, peel, one_per_peel: bool = False) -> SweepRo
     """
     recon, refusals, _, ms = peel
     trials = len(g)
-    rmse, rel = _resistance_errors(1.0 / g, _resistance_array(recon))
+    rmse, rel = _resistance_errors(1.0 / g, _reciprocal(recon))
     ok = np.array([r is None for r in refusals]) & np.isfinite(rmse) & np.isfinite(rel)
     if not ok.any():
         return SweepRow(param, trials, *[math.nan] * 5, trials)

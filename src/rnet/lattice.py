@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -89,10 +89,6 @@ class LatticeSpec:
     @property
     def n_boundary(self) -> int:
         return 4 * self.length
-
-    @property
-    def n_interior(self) -> int:
-        return self.length * self.length
 
     @property
     def n_edges(self) -> int:
@@ -165,15 +161,36 @@ def _edge_set(k: int) -> frozenset[EdgeId]:
     return frozenset(_edge_catalog(k))
 
 
+@lru_cache(maxsize=None)
+def _edge_names(k: int) -> tuple[str, ...]:
+    """Canonical id of every catalog edge, in catalog order."""
+    return tuple(str(e) for e in _edge_catalog(k))
+
+
+@lru_cache(maxsize=None)
+def _name_slots(k: int) -> dict[str, int]:
+    return {name: slot for slot, name in enumerate(_edge_names(k))}
+
+
+@lru_cache(maxsize=None)
+def _edge_slots(k: int) -> dict[EdgeId, int]:
+    return {edge: slot for slot, edge in enumerate(_edge_catalog(k))}
+
+
+def _mismatch_text(k: int, missing: Iterable[str], extra: Iterable[str]) -> str:
+    return (
+        f"edge set mismatch for length {k}: "
+        f"missing {sorted(missing)[:4]}, extra {sorted(extra)[:4]}"
+    )
+
+
 def _check_edge_set(spec: LatticeSpec, edges) -> None:
     """Raise ``ValueError`` unless ``edges`` is exactly the catalog of ``spec``."""
     catalog = _edge_set(spec.length)
     if edges != catalog:
-        missing = sorted(str(e) for e in catalog - set(edges))[:4]
-        extra = sorted(str(e) for e in set(edges) - catalog)[:4]
-        raise ValueError(
-            f"edge set mismatch for length {spec.length}: missing {missing}, extra {extra}"
-        )
+        given = set(edges)
+        missing, extra = (str(e) for e in catalog - given), (str(e) for e in given - catalog)
+        raise ValueError(_mismatch_text(spec.length, missing, extra))
 
 
 def build_lattice(k: int) -> LatticeSpec:
@@ -181,10 +198,95 @@ def build_lattice(k: int) -> LatticeSpec:
     return LatticeSpec(k)
 
 
+def _as_number(value) -> float | None:
+    """``value`` as a float if it is an int or a float (``bool`` is neither) in float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond float range
+        return None
+
+
+class EdgeValues(Mapping):
+    """Read-only ``{EdgeId: float}`` view of one value per edge.
+
+    The values live in ``array``, a float64 array in catalog order
+    (``spec.edges``) that this view marks read-only; every computation
+    reads the array.  A lookup by ``EdgeId`` finds the edge's slot, so no
+    per-edge dict is built.
+    """
+
+    __slots__ = ("spec", "array")
+
+    def __init__(self, spec: LatticeSpec, array: np.ndarray):
+        array.setflags(write=False)
+        self.spec, self.array = spec, array
+
+    def __getitem__(self, edge: EdgeId) -> float:
+        return float(self.array[_edge_slots(self.spec.length)[edge]])
+
+    def __iter__(self) -> Iterator[EdgeId]:
+        return iter(self.spec.edges)
+
+    def __len__(self) -> int:
+        return self.spec.n_edges
+
+    def __repr__(self) -> str:
+        return f"EdgeValues(length={self.spec.length}, array={self.array!r})"
+
+
+def _edge_array(
+    spec: LatticeSpec, values, what: str, rule: str, accept: Callable | None = None
+) -> EdgeValues:
+    """Checked catalog-ordered view of per-edge ``values``.
+
+    ``values`` is an ``{EdgeId: number}`` mapping over exactly the catalog of
+    ``spec``, or ``spec.n_edges`` numbers in catalog order as an array (which
+    is copied).  An ``EdgeValues`` of ``spec`` keeps its array.  Each value
+    must be a number (``bool`` is not one) that passes the vectorized
+    ``accept``, if given; ``rule`` says what that asks for.
+
+    Raises:
+        ValueError: for another edge set or a refused value, naming the edge.
+    """
+    if isinstance(values, EdgeValues) and values.spec == spec:
+        array = values.array
+    elif isinstance(values, np.ndarray):
+        if values.shape != (spec.n_edges,) or values.dtype.kind not in "iuf":
+            raise ValueError(
+                f"expected {spec.n_edges} {what} numbers in catalog order, "
+                f"got an array of shape {values.shape} and dtype {values.dtype}"
+            )
+        array = values.astype(np.float64)
+    else:
+        _check_edge_set(spec, values.keys())
+        numbers = [_as_number(values[e]) for e in spec.edges]
+        if None in numbers:
+            e = spec.edges[numbers.index(None)]
+            raise ValueError(f"{what} of {e} must be {rule}, got {values[e]!r}")
+        array = np.array(numbers)
+    if accept is not None:
+        bad = ~accept(array)
+        if bad.any():
+            slot = int(np.argmax(bad))
+            e = spec.edges[slot]
+            shown = values[e] if isinstance(values, Mapping) else float(array[slot])
+            raise ValueError(f"{what} of {e} must be {rule}, got {shown!r}")
+    return EdgeValues(spec, array)
+
+
+def _positive_finite(g):
+    return np.isfinite(g) & (g > 0)
+
+
 @dataclass(frozen=True)
 class ConductanceMap:
     """Positive conductance assigned to every edge of a lattice.
 
+    ``values`` may be an ``{EdgeId: number}`` mapping or a catalog-ordered
+    array; either way it is held as an ``EdgeValues`` view of a read-only
+    float64 array (``values.array``).
     ``check_values=False`` skips the positivity/finiteness check; it is
     meant for reconstruction outputs, which under noisy input may contain
     nonpositive estimates that are reported rather than clamped.
@@ -195,12 +297,9 @@ class ConductanceMap:
     check_values: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_edge_set(self.spec, self.values.keys())
-        if self.check_values:
-            for e, g in self.values.items():
-                number = isinstance(g, (int, float)) and not isinstance(g, bool)
-                if not (number and math.isfinite(g) and g > 0):
-                    raise ValueError(f"conductance of {e} must be positive and finite, got {g!r}")
+        rule = ("positive and finite", _positive_finite) if self.check_values else ("a number",)
+        values = _edge_array(self.spec, self.values, "conductance", *rule)
+        object.__setattr__(self, "values", values)
 
     def __getitem__(self, edge: EdgeId) -> float:
         return self.values[edge]
@@ -208,15 +307,15 @@ class ConductanceMap:
     def __iter__(self) -> Iterator[EdgeId]:
         return iter(self.spec.edges)
 
-    def resistances(self) -> dict[EdgeId, float]:
-        return {e: 1.0 / self.values[e] for e in self.spec.edges}
+    def resistances(self) -> EdgeValues:
+        return EdgeValues(self.spec, 1.0 / self.values.array)
 
     def scaled(self, factor: float) -> "ConductanceMap":
-        return ConductanceMap(self.spec, {e: factor * g for e, g in self.values.items()})
+        return ConductanceMap(self.spec, factor * self.values.array)
 
 
 def uniform_conductances(spec: LatticeSpec, value: float = 1.0) -> ConductanceMap:
-    return ConductanceMap(spec, {e: value for e in spec.edges})
+    return ConductanceMap(spec, dict.fromkeys(spec.edges, value))
 
 
 def random_conductances(
@@ -226,8 +325,9 @@ def random_conductances(
     resistance_high: float = 2.0,
 ) -> ConductanceMap:
     """Network with i.i.d. uniform resistances, drawn in catalog order."""
-    g = _random_conductance_array(spec.n_edges, rng, resistance_low, resistance_high)
-    return ConductanceMap(spec, dict(zip(spec.edges, g)))
+    return ConductanceMap(
+        spec, _random_conductance_array(spec.n_edges, rng, resistance_low, resistance_high)
+    )
 
 
 def _random_conductance_array(
@@ -301,9 +401,7 @@ def _kirchhoff_stack(g: np.ndarray, k: int) -> np.ndarray:
 
 def build_kirchhoff(net: ConductanceMap) -> np.ndarray:
     """Conductance-weighted graph Laplacian over boundary then interior nodes."""
-    spec = net.spec
-    g = np.fromiter((net.values[e] for e in spec.edges), dtype=np.float64, count=spec.n_edges)
-    return _kirchhoff_stack(g[None], spec.length)[0]
+    return _kirchhoff_stack(net.values.array[None], net.spec.length)[0]
 
 
 def _eliminate_interior(kirchhoff: np.ndarray, k: int):
@@ -394,30 +492,6 @@ def forward_boundary_solve(net: ConductanceMap, voltages) -> BoundaryResponse:
 
 
 # ---------------------------------------------------------------------------
-# Quarter-turn symmetry
-
-def rotate_boundary_index(k: int, b: int) -> int:
-    """Boundary index after rotating the network a quarter turn clockwise."""
-    return (b - 1 + k) % (4 * k) + 1
-
-
-def rotate_edge(k: int, edge: EdgeId) -> EdgeId:
-    """Image of an edge under the quarter-turn rotation ``(r,c) -> (c, k+1-r)``."""
-    if edge.kind == "S":
-        return EdgeId.spike(rotate_boundary_index(k, edge.i))
-    r, c = edge.i, edge.j
-    if edge.kind == "H":
-        return EdgeId.vertical(c, k + 1 - r)
-    return EdgeId.horizontal(c, k - r)
-
-
-def rotate_network(net: ConductanceMap) -> ConductanceMap:
-    """Transport every conductance to its quarter-turn image edge."""
-    k = net.spec.length
-    return ConductanceMap(net.spec, {rotate_edge(k, e): g for e, g in net.values.items()})
-
-
-# ---------------------------------------------------------------------------
 # Layer geometry for the peeling reconstruction
 #
 # Layer 0 is the physical boundary; peeling layer L exposes interior ring
@@ -437,27 +511,6 @@ def _layer_face_local(m: int, j: int) -> tuple[str, int]:
         raise ValueError(f"boundary index {j} out of range 1..{4 * m}")
     face = FACES[(j - 1) // m]
     return face, (j - 1) % m + 1
-
-
-def layer_boundary_node(spec: LatticeSpec, layer: int, j: int):
-    """Physical node behind boundary index ``j`` of the layer's sub-network.
-
-    Returns ``("B", b)`` at layer 0, ``("I", r, c)`` (a ring-``layer``
-    interior node) afterwards.
-    """
-    k = spec.length
-    m = layer_length(k, layer)
-    if layer == 0:
-        _layer_face_local(m, j)
-        return ("B", j)
-    face, i = _layer_face_local(m, j)
-    if face == "N":
-        return ("I", layer, layer + i)
-    if face == "E":
-        return ("I", layer + i, k + 1 - layer)
-    if face == "S":
-        return ("I", k + 1 - layer, k + 1 - layer - i)
-    return ("I", k + 1 - layer - i, layer)
 
 
 def layer_spike_edge(spec: LatticeSpec, layer: int, j: int) -> EdgeId:
@@ -508,7 +561,7 @@ def network_to_json(net: ConductanceMap) -> str:
     doc = {
         "schema": NETWORK_SCHEMA,
         "length": net.spec.length,
-        "conductances": {str(e): net.values[e] for e in net.spec.edges},
+        "conductances": dict(zip(_edge_names(net.spec.length), net.values.array.tolist())),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -551,8 +604,8 @@ def _read_document(text: str, schema: str, field: str, kind: type):
 
 def _edge_values(
     spec: LatticeSpec, pairs: Iterable[tuple], rule: str, accept: Callable[[float], bool]
-) -> dict[EdgeId, float]:
-    """Catalog-complete ``{EdgeId: float}`` from ``(id, value)`` pairs.
+) -> EdgeValues:
+    """Catalog-ordered values from ``(id, value)`` pairs that name every edge once.
 
     Each edge must be named exactly once: an alias such as ``S:01`` beside
     ``S:1`` is a repeat.  Each value must be a number (``bool`` is not one)
@@ -562,29 +615,37 @@ def _edge_values(
         NetworkFormatError: for a malformed id, a repeated edge, a refused
             value, or an edge set other than the catalog of ``spec``.
     """
-    values: dict[EdgeId, float] = {}
+    pairs = list(pairs)
+    # A canonical id finds its slot by name; any other id is parsed first.  Only
+    # a document with one pair per edge builds the name table, so a huge
+    # declared length is refused by the count below without building its catalog.
+    names = _name_slots(spec.length) if len(pairs) == spec.n_edges else {}
+    slots, numbers, seen = [], [], set()
     for key, val in pairs:
-        edge = EdgeId.parse(key)
-        try:  # JSON numbers are exactly int or float; bool is neither
-            number = float(val) if type(val) in (int, float) else None
-        except OverflowError:  # an int beyond float range
-            number = None
+        name = key
+        slot = names.get(key) if type(key) is str else None
+        if slot is None:  # an alias, an edge outside the catalog, or a malformed id
+            name = str(EdgeId.parse(key))
+            slot = names.get(name, name)  # an edge outside the catalog stands for itself
+        number = _as_number(val)
         if number is None or not accept(number):
             raise NetworkFormatError(f"{key}: {rule}, got {val!r}")
-        size = len(values)
-        values[edge] = number
-        if len(values) == size:
-            raise NetworkFormatError(f"edge {edge} named twice, the second time as {key!r}")
-    # Counting first keeps a huge declared length from building its catalog.
-    if len(values) != spec.n_edges:
+        if slot in seen:
+            raise NetworkFormatError(f"edge {name} named twice, the second time as {key!r}")
+        seen.add(slot)
+        slots.append(slot)
+        numbers.append(number)
+    if len(seen) != spec.n_edges:
         raise NetworkFormatError(
-            f"{len(values)} edges given for length {spec.length}, which has {spec.n_edges}"
+            f"{len(seen)} edges given for length {spec.length}, which has {spec.n_edges}"
         )
-    try:
-        _check_edge_set(spec, values.keys())
-    except ValueError as exc:
-        raise NetworkFormatError(str(exc)) from None
-    return values
+    extra = [s for s in slots if type(s) is str]
+    if extra:
+        missing = (name for name, slot in names.items() if slot not in seen)
+        raise NetworkFormatError(_mismatch_text(spec.length, missing, extra))
+    array = np.empty(spec.n_edges)
+    array[slots] = numbers
+    return EdgeValues(spec, array)
 
 
 def network_from_json(text: str) -> ConductanceMap:

@@ -40,8 +40,8 @@ def symmetrize_average(m) -> np.ndarray:
 def matrix_to_csv(a) -> str:
     """Serialize a matrix as CSV: one row per line, 17 significant digits."""
     a = as_matrix(a)
-    lines = [",".join(f"{v:.17g}" for v in row) for row in a]
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * a.shape[1])
+    return "\n".join([row % tuple(values) for values in a.tolist()]) + "\n"
 
 
 def matrix_from_csv(text: str) -> np.ndarray:

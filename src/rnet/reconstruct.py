@@ -35,7 +35,7 @@ import time
 import warnings as _warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,8 +55,11 @@ from .lattice import (
     FACES,
     ConductanceMap,
     EdgeId,
+    EdgeValues,
     LatticeSpec,
     ResponseMatrix,
+    _edge_array,
+    _edge_names,
     _edge_values,
     _read_document,
     layer_spike_edge,
@@ -223,9 +226,10 @@ def extract_boundary_conductances(lam) -> PeelExtraction:
             f"response matrix order must be a positive multiple of 4, got {a.shape}"
         )
     m = a.shape[0] // 4
-    tilde, _, errors = _tilde_stack(a[None])
-    if not errors:
-        values, errors = _extract_stack(tilde)
+    with np.errstate(all="ignore"):  # a refusal below is the report, as in _peel_stack
+        tilde, _, errors = _tilde_stack(a[None])
+        if not errors:
+            values, errors = _extract_stack(tilde)
     if errors:
         raise errors[0]
     return PeelExtraction(m, values[0, : 4 * m], values[0, 4 * m :], _flag_texts(m, values[0]))
@@ -586,13 +590,22 @@ def peel_layer(
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    """Every edge conductance recovered from a response matrix."""
+    """Every edge conductance recovered from a response matrix.
+
+    ``resistances`` may be an ``{EdgeId: number}`` mapping or a
+    catalog-ordered array; it is held as an ``EdgeValues`` view of a
+    read-only float64 array, like ``conductances.values``.
+    """
 
     conductances: ConductanceMap
-    resistances: dict[EdgeId, float]
+    resistances: Mapping[EdgeId, float]
     report: tuple[LayerDiagnostics, ...]
     elapsed_ms: float
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        resistances = _edge_array(self.spec, self.resistances, "resistance", "a number")
+        object.__setattr__(self, "resistances", resistances)
 
     @property
     def spec(self) -> LatticeSpec:
@@ -691,8 +704,8 @@ def _peel_stack(lams: Sequence[np.ndarray]):
     ]
 
 
-def _resistance_array(g: np.ndarray) -> np.ndarray:
-    """Reciprocals of conductance estimates; a zero (either sign) maps to +inf."""
+def _reciprocal(g: np.ndarray) -> np.ndarray:
+    """``1 / g`` elementwise (resistance from conductance or back); a zero gives +inf."""
     return np.divide(1.0, g, out=np.full_like(g, math.inf), where=g != 0.0)
 
 
@@ -739,13 +752,11 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
     if refusal is not None:
         raise refusal
 
-    g = g[0]
-    conductances = ConductanceMap(spec, dict(zip(spec.edges, g.tolist())), check_values=False)
-    resistances = dict(zip(spec.edges, _resistance_array(g).tolist()))
+    conductances = ConductanceMap(spec, g[0], check_values=False)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return ReconstructionResult(
         conductances=conductances,
-        resistances=resistances,
+        resistances=_reciprocal(g[0]),
         report=tuple(report),
         elapsed_ms=elapsed_ms,
         warnings=tuple(notes),
@@ -769,12 +780,12 @@ def reconstruction_to_json(result: ReconstructionResult) -> str:
         "schema": RECONSTRUCTION_SCHEMA,
         "length": spec.length,
         "edges": [
-            {
-                "id": str(e),
-                "conductance": _json_number(result.conductances.values[e]),
-                "resistance": _json_number(result.resistances[e]),
-            }
-            for e in spec.edges
+            {"id": name, "conductance": _json_number(g), "resistance": _json_number(r)}
+            for name, g, r in zip(
+                _edge_names(spec.length),
+                result.conductances.values.array.tolist(),
+                result.resistances.array.tolist(),
+            )
         ],
         "diagnostics": {
             "layers": [
@@ -793,7 +804,7 @@ def reconstruction_to_json(result: ReconstructionResult) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def reconstruction_edges_from_json(text: str) -> tuple[LatticeSpec, dict[EdgeId, float]]:
+def reconstruction_edges_from_json(text: str) -> tuple[LatticeSpec, EdgeValues]:
     """Load ``(spec, per-edge resistance)`` from a reconstruction document.
 
     A ``null`` or absent resistance loads as NaN.

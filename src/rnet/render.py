@@ -14,26 +14,30 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .errors import SpecMismatchError
-from .lattice import EdgeId, LatticeSpec, _check_edge_set, _edge_values, _read_document
+from .lattice import EdgeId, LatticeSpec, _edge_array, _edge_names, _edge_values, _read_document
 from .reconstruct import ReconstructionResult
 
 
 @dataclass(frozen=True)
 class DeltaMap:
-    """Per-edge relative resistance change (R - R0) / R0."""
+    """Per-edge relative resistance change (R - R0) / R0.
+
+    ``delta`` may be an ``{EdgeId: number}`` mapping or a catalog-ordered
+    array; it is held as an ``EdgeValues`` view of a read-only float64 array.
+    """
 
     spec: LatticeSpec
     delta: Mapping[EdgeId, float]
 
     def __post_init__(self):
-        _check_edge_set(self.spec, self.delta.keys())
-        for e, d in self.delta.items():
-            if not math.isfinite(d):
-                raise ValueError(f"delta of {e} must be finite, got {d!r}")
+        delta = _edge_array(self.spec, self.delta, "delta", "finite", np.isfinite)
+        object.__setattr__(self, "delta", delta)
 
     def max_abs(self) -> float:
-        return max(abs(d) for d in self.delta.values())
+        return float(np.abs(self.delta.array).max())
 
 
 def compute_delta_map(
@@ -44,15 +48,19 @@ def compute_delta_map(
         raise SpecMismatchError(
             f"baseline has length {baseline.spec.length}, deformed {deformed.spec.length}"
         )
-    delta: dict[EdgeId, float] = {}
-    for e in baseline.spec.edges:
-        r0 = baseline.resistances[e]
-        r1 = deformed.resistances[e]
-        if not (math.isfinite(r0) and r0 > 0):
-            raise ValueError(f"baseline resistance of {e} must be positive, got {r0!r}")
-        if not math.isfinite(r1):
-            raise ValueError(f"deformed resistance of {e} must be finite, got {r1!r}")
-        delta[e] = (r1 - r0) / r0
+    r0, r1 = baseline.resistances.array, deformed.resistances.array
+    bad0 = ~(np.isfinite(r0) & (r0 > 0))
+    bad = bad0 | ~np.isfinite(r1)
+    if bad.any():
+        slot = int(np.argmax(bad))
+        e = baseline.spec.edges[slot]
+        if bad0[slot]:
+            raise ValueError(
+                f"baseline resistance of {e} must be positive, got {float(r0[slot])!r}"
+            )
+        raise ValueError(f"deformed resistance of {e} must be finite, got {float(r1[slot])!r}")
+    with np.errstate(over="ignore"):  # DeltaMap refuses an overflow as a nonfinite delta
+        delta = (r1 - r0) / r0
     return DeltaMap(spec=baseline.spec, delta=delta)
 
 
@@ -63,7 +71,7 @@ def delta_map_to_json(dmap: DeltaMap) -> str:
     doc = {
         "schema": DELTA_SCHEMA,
         "length": dmap.spec.length,
-        "delta": {str(e): dmap.delta[e] for e in dmap.spec.edges},
+        "delta": dict(zip(_edge_names(dmap.spec.length), dmap.delta.array.tolist())),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -147,8 +155,7 @@ def render_delta_map(dmap: DeltaMap, style: RenderStyle = RenderStyle()) -> str:
         f'viewBox="0 0 {span:.2f} {height:.2f}">',
         f'<rect x="0" y="0" width="{span:.2f}" height="{height:.2f}" fill="#ffffff"/>',
     ]
-    for edge in spec.edges:
-        d = dmap.delta[edge]
+    for edge, name, d in zip(spec.edges, _edge_names(k), dmap.delta.array.tolist()):
         if max_abs <= style.deadband or abs(d) <= style.deadband:
             color = NEUTRAL_COLOR
             width = style.min_width
@@ -158,7 +165,7 @@ def render_delta_map(dmap: DeltaMap, style: RenderStyle = RenderStyle()) -> str:
             width = style.min_width + (style.max_width - style.min_width) * t
         (x1, y1), (x2, y2) = _edge_segment(spec, edge, style)
         lines.append(
-            f'<line data-edge="{edge}" x1="{x1:.2f}" y1="{y1:.2f}" '
+            f'<line data-edge="{name}" x1="{x1:.2f}" y1="{y1:.2f}" '
             f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="{color}" '
             f'stroke-width="{width:.2f}" stroke-linecap="round"/>'
         )

@@ -20,9 +20,6 @@ from rnet.lattice import (
     build_lattice,
     random_conductances,
     response_matrix,
-    rotate_boundary_index,
-    rotate_edge,
-    rotate_network,
     uniform_conductances,
 )
 from rnet.measure_sim import ProtocolNoise, simulate_measurement
@@ -33,6 +30,8 @@ from rnet.reconstruct import (
     reconstruct_full,
 )
 from rnet.render import RenderStyle, compute_delta_map, render_delta_map
+
+from lattice_geometry import rotate_boundary_index, rotate_edge, rotate_network
 
 
 def report(criterion: str, passed: bool, detail: str):

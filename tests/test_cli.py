@@ -7,7 +7,13 @@ from click.testing import CliRunner
 
 from rnet import matrixkit
 from rnet.cli import main
-from rnet.lattice import build_lattice, network_from_json, response_matrix, uniform_conductances
+from rnet.lattice import (
+    EdgeId,
+    build_lattice,
+    network_from_json,
+    response_matrix,
+    uniform_conductances,
+)
 
 runner = CliRunner()
 
@@ -225,6 +231,34 @@ class TestDeltaRender:
         invoke("reconstruct", lam_path, "--out", other)
         result = runner.invoke(main, ["delta", str(recs["base"]), str(other)])
         assert result.exit_code == 2
+
+
+class TestPipeline:
+    def run(self, tmp_path):
+        """The rig's loop: two networks generated, measured and reconstructed, then delta and render."""
+        for side, seed in (("base", 1), ("defo", 2)):
+            invoke("generate", "--length", 4, "--seed", seed, "--resistance-range", "22080:23184",
+                   "--out", tmp_path / f"{side}.json")
+            invoke("measure", tmp_path / f"{side}.json", "--noise", "protocol:230",
+                   "--out", tmp_path / f"{side}.csv")
+            invoke("reconstruct", tmp_path / f"{side}.csv", "--out", tmp_path / f"{side}.recon.json")
+        invoke("delta", tmp_path / "base.recon.json", tmp_path / "defo.recon.json",
+               "--out", tmp_path / "delta.json")
+        return invoke("render", tmp_path / "delta.json", "--out", tmp_path / "map.svg")
+
+    @pytest.mark.filterwarnings("ignore:layer 0. isolated-row residual:RuntimeWarning")
+    def test_repeat_run_hashes_no_edge_id(self, tmp_path, monkeypatch):
+        # The first run fills the per-length caches; after that every stage
+        # works on catalog-ordered arrays and builds no per-edge dict.
+        assert self.run(tmp_path).exit_code == 0
+        first = (tmp_path / "map.svg").read_bytes()
+
+        def refuse(edge):
+            raise AssertionError(f"EdgeId {edge} hashed")
+
+        monkeypatch.setattr(EdgeId, "__hash__", refuse)
+        assert self.run(tmp_path).exit_code == 0
+        assert (tmp_path / "map.svg").read_bytes() == first
 
 
 class TestOutputHandling:

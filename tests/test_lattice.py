@@ -12,7 +12,6 @@ from rnet.lattice import (
     build_kirchhoff,
     build_lattice,
     forward_boundary_solve,
-    layer_boundary_node,
     layer_length,
     layer_spike_edge,
     layer_tangential_edge,
@@ -20,12 +19,11 @@ from rnet.lattice import (
     network_to_json,
     random_conductances,
     response_matrix,
-    rotate_boundary_index,
-    rotate_edge,
-    rotate_network,
     uniform_conductances,
 )
 from rnet.lattice import _kirchhoff_stack, _layer_face_local, _response_stack
+
+from lattice_geometry import layer_boundary_node, rotate_boundary_index, rotate_edge, rotate_network
 
 
 def layer_anchor(spec, layer: int, j: int) -> tuple[int, int]:
@@ -81,7 +79,6 @@ class TestTopology:
     def test_degenerate_star(self):
         spec = build_lattice(1)
         assert spec.n_boundary == 4
-        assert spec.n_interior == 1
         assert [e.kind for e in spec.edges] == ["S"] * 4
 
     def test_zero_length_rejected(self):
@@ -193,7 +190,7 @@ class TestResponseMatrix:
         net = random_conductances(build_lattice(k), np.random.default_rng(seed))
         spec = net.spec
         kirchhoff = build_kirchhoff(net)
-        nb, nn = spec.n_boundary, spec.n_boundary + spec.n_interior
+        nb, nn = spec.n_boundary, spec.n_boundary + spec.length**2
         oracle = np.zeros((nb, nb))
         for drive in range(nb):
             system = kirchhoff.copy()
@@ -372,6 +369,30 @@ class TestConductanceMap:
         spec = build_lattice(1)
         with pytest.raises(ValueError, match="must be positive and finite, got True"):
             ConductanceMap(spec, {e: True for e in spec.edges})
+
+    def test_catalog_ordered_array(self):
+        spec = build_lattice(3)
+        g = np.random.default_rng(4).uniform(0.5, 2.0, spec.n_edges)
+        net = ConductanceMap(spec, g)
+        assert net.values.array is not g and np.array_equal(net.values.array, g)
+        with pytest.raises(ValueError):
+            net.values.array[0] = 1.0
+        assert net == ConductanceMap(spec, dict(zip(spec.edges, g)))
+        assert list(net.values) == list(spec.edges) and len(net.values) == spec.n_edges
+        assert [net[e] for e in spec.edges] == g.tolist()
+        assert EdgeId.spike(99) not in net.values
+
+    @pytest.mark.parametrize("g", [np.ones(23), np.ones(24, dtype=bool), np.ones((1, 24))])
+    def test_array_of_another_shape_or_dtype_rejected(self, g):
+        with pytest.raises(ValueError, match="expected 24 conductance numbers in catalog order"):
+            ConductanceMap(build_lattice(3), g)
+
+    def test_nonpositive_array_entry_named(self):
+        spec = build_lattice(2)
+        g = np.ones(spec.n_edges)
+        g[5] = -0.0
+        with pytest.raises(ValueError, match=f"conductance of {spec.edges[5]} must be positive and finite, got -0.0"):
+            ConductanceMap(spec, g)
 
     def test_unchecked_mode_for_reconstruction_outputs(self):
         spec = build_lattice(1)

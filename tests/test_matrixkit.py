@@ -41,6 +41,16 @@ class TestCsv:
         assert len(lines) == 2
         assert lines[0] == "1.5,-2"
 
+    def test_text_matches_per_value_format(self):
+        a = np.array([
+            [-0.0, 5e-324, 1e308, -1e308],
+            [3.0, -2.0, 0.1, -1.0 / 3.0],
+            [2.2250738585072014e-308, 123456789012345678.0, -7.5e-300, 1.0],
+        ])
+        reference = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in a)
+        assert matrixkit.matrix_to_csv(a) == reference
+        assert reference.startswith("-0,4.9406564584124654e-324,1e+308,-1e+308\n3,-2,")
+
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             matrixkit.matrix_from_csv("1,2\n3\n")

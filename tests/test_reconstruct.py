@@ -17,13 +17,10 @@ from rnet.lattice import (
     ConductanceMap,
     EdgeId,
     build_lattice,
-    layer_boundary_node,
     layer_spike_edge,
     layer_tangential_edge,
     random_conductances,
     response_matrix,
-    rotate_edge,
-    rotate_network,
     uniform_conductances,
 )
 from rnet.measure_sim import apply_elementwise_noise
@@ -42,6 +39,8 @@ from rnet.reconstruct import (
     removal_schedule,
 )
 from rnet.reconstruct import _peel_stack, _tilde_stack
+
+from lattice_geometry import layer_boundary_node, rotate_edge, rotate_network
 
 
 def unit_lambda(k: int) -> np.ndarray:
@@ -103,6 +102,12 @@ class TestTildeFaces:
 
 
 class TestExtraction:
+    def test_zero_divisor_refused_without_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroDivisorError):
+                extract_boundary_conductances(mixed_stack()[-1])
+
     def test_unit_length2(self):
         ext = extract_boundary_conductances(unit_lambda(2))
         assert ext.spikes.shape == (8,)

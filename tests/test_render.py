@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,38 @@ class TestComputeDeltaMap:
         )
         with pytest.raises(ValueError):
             compute_delta_map(broken, rec)
+
+
+    def test_overflowing_delta_refused_without_numpy_warning(self):
+        spec = build_lattice(1)
+        rec = reconstruct_net(uniform_conductances(spec))
+        tiny = rec.resistances.array.copy()
+        tiny[0] = 5e-324
+        baseline = type(rec)(conductances=rec.conductances, resistances=tiny, report=(), elapsed_ms=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="delta of S:1 must be finite, got inf"):
+                compute_delta_map(baseline, rec)
+
+
+class TestDeltaMap:
+    @pytest.mark.parametrize("value", [True, "0.5", None, float("nan")])
+    def test_non_finite_or_non_number_rejected(self, value):
+        spec = build_lattice(1)
+        values = {e: 0.5 for e in spec.edges}
+        values[EdgeId.spike(3)] = value
+        with pytest.raises(ValueError, match=re.escape(f"delta of S:3 must be finite, got {value!r}")):
+            DeltaMap(spec, values)
+
+    def test_catalog_ordered_array(self):
+        spec = build_lattice(2)
+        delta = np.linspace(-1.0, 1.0, spec.n_edges)
+        dmap = DeltaMap(spec, delta)
+        assert dmap.delta.array is not delta and not dmap.delta.array.flags.writeable
+        assert [dmap.delta[e] for e in spec.edges] == delta.tolist()
+        assert dmap == DeltaMap(spec, dict(zip(spec.edges, delta.tolist())))
+        with pytest.raises(ValueError, match="expected 12 delta numbers"):
+            DeltaMap(spec, delta[:-1])
 
 
 class TestDeltaJson:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import re
 import sys
 import warnings
@@ -176,6 +177,66 @@ def writer_cases():
             )
 
 
+def _document(schema: str, field: str, length, pairs) -> str:
+    """A per-edge document with ``pairs`` in order, written by hand so that a key may repeat."""
+    if field == "edges":
+        body = json.dumps([{"id": key, "resistance": value} for key, value in pairs])
+    else:
+        body = "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in pairs) + "}"
+    return f'{{"schema": {json.dumps(schema)}, "length": {json.dumps(length)}, "{field}": {body}}}'
+
+
+def _reader_edits(pairs):
+    """Named edits of a valid document's ``(id, value)`` pairs."""
+    first, rest = pairs[0], pairs[1:]
+    yield "valid", pairs
+    yield "S:01 beside S:1", pairs + [("S:01", 2.0)]
+    yield "S:01 alone", [("S:01", first[1])] + rest
+    yield "S:01 before S:1", [("S:01", 2.0)] + pairs
+    yield "repeated key", pairs + [first]
+    yield "missing edge", rest
+    yield "extra id", pairs + [("S:99", 1.0)]
+    yield "out-of-range id in place", pairs[:-1] + [("V:9:9", 1.0)]
+    yield "malformed id", pairs + [("S:1_0", 1.0)]
+    yield "malformed id first", [("Q:1", 1.0)] + pairs
+    yield "bool value", [(first[0], True)] + rest
+    yield "int beyond float range", [(first[0], 10**400)] + rest
+    yield "int value", [(first[0], 2)] + rest
+    yield "string value", [(first[0], "1.5")] + rest
+    yield "null value", [(first[0], None)] + rest
+    yield "infinite value", [(first[0], float("inf"))] + rest
+    yield "negative value", [(first[0], -1.0)] + rest
+    yield "non-string id", [(1, first[1])] + rest
+    yield "list id", [(["S", 1], first[1])] + rest
+
+
+def reader_cases():
+    """What each per-edge reader makes of a fixed list of edited k=2 documents.
+
+    The digest covers the values read in catalog order, or the refusal's type and message.
+    """
+    readers = {
+        "network": ("rnet-network/1", "conductances", lambda t: network_from_json(t).values),
+        "recon": ("rnet-recon/1", "edges", lambda t: reconstruction_edges_from_json(t)[1]),
+        "delta": ("rnet-delta/1", "delta", lambda t: delta_map_from_json(t).delta),
+    }
+    spec = build_lattice(2)
+    pairs = [(str(e), 1.0 + i / 8) for i, e in enumerate(spec.edges)]
+    for name, (schema, field, read) in readers.items():
+        edits = [(label, 2, edited) for label, edited in _reader_edits(pairs)]
+        edits.append(("huge declared length", 10**6, pairs))
+        for label, length, edited in edits:
+            if field != "edges" and not all(isinstance(key, str) for key, _ in edited):
+                continue  # a JSON object's keys are strings
+            try:
+                values = read(_document(schema, field, length, edited))
+            except Exception as exc:  # the refusal is the result
+                out = f"{type(exc).__name__}: {exc}".encode()
+            else:
+                out = np.array([values[e] for e in spec.edges])
+            yield f"reader {name} {label}", digest(out)
+
+
 def main() -> int:
     warnings.simplefilter("ignore", RuntimeWarning)
     for name, value in reconstruction_cases():
@@ -187,6 +248,8 @@ def main() -> int:
     for name, value in forward_cases():
         print(name, value)
     for name, value in writer_cases():
+        print(name, value)
+    for name, value in reader_cases():
         print(name, value)
     return 0
 
