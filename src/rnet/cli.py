@@ -30,6 +30,7 @@ from .errors import (
 from .lattice import (
     ConductanceMap,
     ResponseMatrix,
+    _reciprocal,
     build_lattice,
     network_from_json,
     network_to_json,
@@ -38,7 +39,6 @@ from .lattice import (
 )
 from .reconstruct import (
     ReconstructionResult,
-    _reciprocal,
     reconstruct_full,
     reconstruction_edges_from_json,
     reconstruction_to_json,

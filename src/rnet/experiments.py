@@ -29,10 +29,11 @@ from .lattice import (
     ConductanceMap,
     _kirchhoff_stack,
     _random_conductance_array,
+    _reciprocal,
     _response_stack,
 )
 from .measure_sim import _elementwise_noise
-from .reconstruct import ReconstructionResult, _peel_stack, _reciprocal
+from .reconstruct import ReconstructionResult, _peel_stack
 
 # Seed-derivation domains (first spawn_key component).
 _DOMAIN_NETWORK = 0

@@ -276,6 +276,11 @@ def _edge_array(
     return EdgeValues(spec, array)
 
 
+def _reciprocal(g: np.ndarray) -> np.ndarray:
+    """``1 / g`` elementwise (resistance from conductance or back); a zero gives +inf."""
+    return np.divide(1.0, g, out=np.full_like(g, math.inf), where=g != 0.0)
+
+
 def _positive_finite(g):
     return np.isfinite(g) & (g > 0)
 
@@ -308,7 +313,7 @@ class ConductanceMap:
         return iter(self.spec.edges)
 
     def resistances(self) -> EdgeValues:
-        return EdgeValues(self.spec, 1.0 / self.values.array)
+        return EdgeValues(self.spec, _reciprocal(self.values.array))
 
     def scaled(self, factor: float) -> "ConductanceMap":
         return ConductanceMap(self.spec, factor * self.values.array)

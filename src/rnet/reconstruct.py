@@ -62,6 +62,7 @@ from .lattice import (
     _edge_names,
     _edge_values,
     _read_document,
+    _reciprocal,
     layer_spike_edge,
     layer_tangential_edge,
 )
@@ -702,11 +703,6 @@ def _peel_stack(lams: Sequence[np.ndarray]):
         )
         for k, lo, hi in zip(ks, first, first[1:])
     ]
-
-
-def _reciprocal(g: np.ndarray) -> np.ndarray:
-    """``1 / g`` elementwise (resistance from conductance or back); a zero gives +inf."""
-    return np.divide(1.0, g, out=np.full_like(g, math.inf), where=g != 0.0)
 
 
 def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> ReconstructionResult:

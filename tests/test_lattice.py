@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,16 @@ class TestConductanceMap:
         values = {e: -1.0 for e in spec.edges}
         net = ConductanceMap(spec, values, check_values=False)
         assert net.values[EdgeId.spike(1)] == -1.0
+
+    def test_zero_conductance_has_infinite_resistance(self):
+        spec = build_lattice(1)
+        values = {e: 2.0 for e in spec.edges}
+        values[EdgeId.spike(1)] = -0.0
+        net = ConductanceMap(spec, values, check_values=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resist = net.resistances()
+        assert resist[EdgeId.spike(1)] == np.inf and resist[EdgeId.spike(2)] == 0.5
 
     def test_resistances(self):
         spec = build_lattice(1)
