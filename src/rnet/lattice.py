@@ -157,11 +157,6 @@ def _edge_catalog(k: int) -> tuple[EdgeId, ...]:
 
 
 @lru_cache(maxsize=None)
-def _edge_set(k: int) -> frozenset[EdgeId]:
-    return frozenset(_edge_catalog(k))
-
-
-@lru_cache(maxsize=None)
 def _edge_names(k: int) -> tuple[str, ...]:
     """Canonical id of every catalog edge, in catalog order."""
     return tuple(str(e) for e in _edge_catalog(k))
@@ -186,7 +181,7 @@ def _mismatch_text(k: int, missing: Iterable[str], extra: Iterable[str]) -> str:
 
 def _check_edge_set(spec: LatticeSpec, edges) -> None:
     """Raise ``ValueError`` unless ``edges`` is exactly the catalog of ``spec``."""
-    catalog = _edge_set(spec.length)
+    catalog = _edge_slots(spec.length).keys()
     if edges != catalog:
         given = set(edges)
         missing, extra = (str(e) for e in catalog - given), (str(e) for e in given - catalog)
