@@ -230,6 +230,9 @@ class EdgeValues(Mapping):
     def __repr__(self) -> str:
         return f"EdgeValues(length={self.spec.length}, array={self.array!r})"
 
+    def __reduce__(self):  # a copy or an unpickled view marks its array read-only again
+        return EdgeValues, (self.spec, self.array)
+
 
 def _edge_array(
     spec: LatticeSpec, values, what: str, rule: str, accept: Callable | None = None

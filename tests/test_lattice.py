@@ -1,5 +1,7 @@
 import json
+import pickle
 import warnings
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -382,6 +384,8 @@ class TestConductanceMap:
         assert list(net.values) == list(spec.edges) and len(net.values) == spec.n_edges
         assert [net[e] for e in spec.edges] == g.tolist()
         assert EdgeId.spike(99) not in net.values
+        for copy in (pickle.loads(pickle.dumps(net)), deepcopy(net)):
+            assert copy == net and not copy.values.array.flags.writeable
 
     @pytest.mark.parametrize("g", [np.ones(23), np.ones(24, dtype=bool), np.ones((1, 24))])
     def test_array_of_another_shape_or_dtype_rejected(self, g):
