@@ -139,16 +139,11 @@ def _check_format(value: str | None, expected: str):
         raise ValueError(f"this command only writes {expected!r} output")
 
 
-def _load_response_csv(path: str, length: int | None) -> tuple[ResponseMatrix, int]:
-    entries = matrixkit.matrix_from_csv(_read_text(path))
-    if entries.shape[0] != entries.shape[1] or entries.shape[0] % 4 != 0:
-        raise ValueError(
-            f"response matrix must be square with order 4k, got {entries.shape}"
-        )
-    inferred = entries.shape[0] // 4
-    if length is not None and length != inferred:
-        raise ValueError(f"--length {length} does not match matrix order {entries.shape[0]}")
-    return ResponseMatrix(entries), inferred
+def _load_response_csv(path: str, length: int | None) -> ResponseMatrix:
+    lam = ResponseMatrix(matrixkit.matrix_from_csv(_read_text(path)))
+    if length is not None and length != lam.length:
+        raise ValueError(f"--length {length} does not match matrix order {4 * lam.length}")
+    return lam
 
 
 def _load_reconstruction(path: str) -> ReconstructionResult:
@@ -207,7 +202,7 @@ def forward(network, out, fmt):
 @main.command()
 @click.argument("network", type=click.Path(exists=True, dir_okay=False))
 @click.option("--noise", default="none", show_default=True,
-              help='Noise spec: "none", "elementwise:<sigma>", "protocol:<snr>[:<quantStep>]".')
+              help='Noise spec: "none" or "protocol:<snr>[:<quantStep>]".')
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @format_option
@@ -231,8 +226,8 @@ def measure(network, noise, seed, out, fmt):
 def reconstruct(lambda_csv, length, out, fmt):
     """Reconstruct every edge conductance from a response matrix (JSON)."""
     _check_format(fmt, "json")
-    lam, k = _load_response_csv(lambda_csv, length)
-    result = reconstruct_full(lam, k)
+    lam = _load_response_csv(lambda_csv, length)
+    result = reconstruct_full(lam, lam.length)
     _write_output(out, reconstruction_to_json(result))
 
 

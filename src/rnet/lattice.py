@@ -304,12 +304,6 @@ class ConductanceMap:
         values = _edge_array(self.spec, self.values, "conductance", *rule)
         object.__setattr__(self, "values", values)
 
-    def __getitem__(self, edge: EdgeId) -> float:
-        return self.values[edge]
-
-    def __iter__(self) -> Iterator[EdgeId]:
-        return iter(self.spec.edges)
-
     def resistances(self) -> EdgeValues:
         return EdgeValues(self.spec, _reciprocal(self.values.array))
 
@@ -337,8 +331,8 @@ def _random_conductance_array(
     n_edges: int, rng: np.random.Generator, resistance_low: float, resistance_high: float
 ) -> np.ndarray:
     """Catalog-ordered conductances of one network: the draw behind every random network."""
-    if not 0 < resistance_low <= resistance_high:
-        raise ValueError("need 0 < resistance_low <= resistance_high")
+    if not 0 < resistance_low <= resistance_high < math.inf:
+        raise ValueError("need 0 < resistance_low <= resistance_high < inf")
     return 1.0 / rng.uniform(resistance_low, resistance_high, size=n_edges)
 
 
@@ -357,20 +351,8 @@ class ResponseMatrix:
         object.__setattr__(self, "entries", a)
 
     @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @property
     def length(self) -> int:
-        return self.n // 4
-
-    def asymmetry(self) -> float:
-        """max|A - A^T| relative to max|A|."""
-        scale = float(np.abs(self.entries).max()) or 1.0
-        return float(np.abs(self.entries - self.entries.T).max()) / scale
-
-    def scaled(self, factor: float) -> "ResponseMatrix":
-        return ResponseMatrix(factor * self.entries)
+        return self.entries.shape[0] // 4
 
 
 @lru_cache(maxsize=None)

@@ -3,20 +3,14 @@
 Reproduces the column-by-column acquisition protocol: drive one boundary
 node at the source voltage with the rest grounded, read the currents at
 all other nodes, and derive the driven node's current from conservation
-(it is never measured directly).  Two corruption models are provided:
-
-* ``ProtocolNoise``: per-measurement relative noise of 1/SNR on the
-  non-driven current readings, optionally quantized to an ADC step, with
-  the driven entry derived from conservation and so inheriting their
-  correlated error.  It models reading noise only, not the electronics'
-  systematic errors (shunt, relays, ADC offsets).
-* ``ElementwiseNoise``: relative noise ``sigma``.  Under
-  ``simulate_measurement`` (and so ``rnet measure --noise
-  elementwise:<sigma>``) it perturbs each non-driven reading by a
-  Normal(1, sigma) factor, by the same rule as ``protocol:<1/sigma>``.  The
-  accuracy sweeps use the entrywise rule instead, in which every matrix
-  entry, the diagonal included, gets its own factor:
-  ``apply_elementwise_noise``.
+(it is never measured directly).  ``ProtocolNoise`` corrupts it:
+per-measurement relative noise of 1/SNR on the non-driven current
+readings, optionally quantized to an ADC step, with the driven entry
+derived from conservation and so inheriting their correlated error.  It
+models reading noise only, not the electronics' systematic errors (shunt,
+relays, ADC offsets).  The accuracy sweeps use the entrywise rule
+instead, in which every matrix entry, the diagonal included, gets its own
+Normal(1, sigma) factor: ``apply_elementwise_noise``.
 
 Every path ends with transpose-averaging so the returned matrix is
 exactly symmetric.
@@ -42,23 +36,6 @@ class NoNoise:
 
 
 @dataclass(frozen=True)
-class ElementwiseNoise:
-    """Relative noise ``sigma``; where it lands depends on the caller.
-
-    ``simulate_measurement`` multiplies each non-driven reading by an
-    independent Normal(1, sigma) factor and derives the driven entry by
-    conservation, as ``ProtocolNoise(1 / sigma)`` does.  The sweeps
-    multiply every matrix entry instead (``apply_elementwise_noise``).
-    """
-
-    sigma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
-
-
-@dataclass(frozen=True)
 class ProtocolNoise:
     """Per-reading relative noise of 1/snr, optional quantization step.
 
@@ -79,7 +56,7 @@ class ProtocolNoise:
             raise ValueError(f"source_volts must be > 0, got {self.source_volts!r}")
 
 
-NoiseModel = Union[NoNoise, ElementwiseNoise, ProtocolNoise]
+NoiseModel = Union[NoNoise, ProtocolNoise]
 
 NO_NOISE = NoNoise()
 
@@ -92,13 +69,16 @@ def snr_to_sigma(snr: float) -> float:
 
 
 def parse_noise_spec(text: str) -> NoiseModel:
-    """Parse "none", "elementwise:<sigma>" or "protocol:<snr>[:<quantStep>]"."""
+    """Parse "none" or "protocol:<snr>[:<quantStep>]"."""
     parts = text.strip().split(":")
+    if parts[0] == "elementwise":
+        raise ValueError(
+            f"bad noise spec {text!r}: spell a measurement's relative noise sigma "
+            f"as protocol:<snr> with snr = 1/sigma, or none for sigma 0"
+        )
     try:
         if parts == ["none"]:
             return NO_NOISE
-        if parts[0] == "elementwise" and len(parts) == 2:
-            return ElementwiseNoise(sigma=float(parts[1]))
         if parts[0] == "protocol" and len(parts) in (2, 3):
             quant = float(parts[2]) if len(parts) == 3 else 0.0
             return ProtocolNoise(snr=float(parts[1]), quant_step=quant)
@@ -123,16 +103,6 @@ class MeasurementRecord:
     model: NoiseModel
 
 
-def _relative_sigma(model: NoiseModel) -> float:
-    if isinstance(model, NoNoise):
-        return 0.0
-    if isinstance(model, ElementwiseNoise):
-        return model.sigma
-    if isinstance(model, ProtocolNoise):
-        return snr_to_sigma(model.snr)
-    raise TypeError(f"unknown noise model {model!r}")
-
-
 def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> MeasurementRecord:
     """Measure a network's response matrix column by column.
 
@@ -142,8 +112,12 @@ def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> Measur
     """
     exact = response_matrix(net).entries
     n = exact.shape[0]
-    volts = model.source_volts if isinstance(model, ProtocolNoise) else DEFAULT_SOURCE_VOLTS
-    sigma = _relative_sigma(model)
+    if isinstance(model, ProtocolNoise):
+        volts, sigma, quant = model.source_volts, snr_to_sigma(model.snr), model.quant_step
+    elif isinstance(model, NoNoise):
+        volts, sigma, quant = DEFAULT_SOURCE_VOLTS, 0.0, 0.0
+    else:
+        raise TypeError(f"unknown noise model {model!r}")
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     column_seeds = seed_seq.spawn(n)
 
@@ -155,8 +129,8 @@ def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> Measur
         readings = readings * np.stack(
             [np.random.default_rng(s).normal(1.0, sigma, size=n - 1) for s in column_seeds]
         )
-    if isinstance(model, ProtocolNoise) and model.quant_step > 0.0:
-        readings = np.round(readings / model.quant_step) * model.quant_step
+    if quant > 0.0:
+        readings = np.round(readings / quant) * quant
     raw = np.empty((n, n))
     raw.T[off_diagonal] = readings.ravel()
     raw[np.diag_indices(n)] = -np.sum(readings, axis=1)

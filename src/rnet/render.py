@@ -93,10 +93,10 @@ class RenderStyle:
     legend_height: float = 40.0
 
     def __post_init__(self):
-        if self.deadband < 0:
-            raise ValueError("deadband must be >= 0")
-        if not 0 < self.min_width <= self.max_width:
-            raise ValueError("need 0 < min_width <= max_width")
+        if not 0 <= self.deadband < math.inf:
+            raise ValueError("deadband must be finite and >= 0")
+        if not 0 < self.min_width <= self.max_width < math.inf:
+            raise ValueError("need 0 < min_width <= max_width < inf")
 
 
 NEUTRAL_COLOR = "#8c8c8c"

@@ -64,6 +64,11 @@ class TestGenerate:
         result = runner.invoke(main, ["generate", "--length", "0"])
         assert result.exit_code == 2
 
+    def test_infinite_resistance_bound_is_invalid_input(self):
+        result = runner.invoke(main, ["generate", "--length", "2", "--resistance-range", "1:inf"])
+        assert result.exit_code == 2
+        assert "resistance_high < inf" in result.output
+
 
 class TestForwardAndMeasure:
     def test_forward_matches_library(self, net_file, tmp_path):
@@ -91,6 +96,14 @@ class TestForwardAndMeasure:
     def test_bad_noise_spec(self, net_file):
         result = runner.invoke(main, ["measure", str(net_file), "--noise", "gamma:1"])
         assert result.exit_code == 2
+
+    def test_elementwise_noise_spec_refused(self, net_file, tmp_path):
+        out = tmp_path / "m.csv"
+        result = runner.invoke(main, ["measure", str(net_file), "--noise", "elementwise:0.01",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "protocol:<snr>" in result.output
+        assert not out.exists()
 
     def test_missing_file_is_usage_error(self):
         result = runner.invoke(main, ["forward", "/no/such/net.json"])
@@ -128,6 +141,13 @@ class TestReconstruct:
         result = runner.invoke(main, ["reconstruct", str(lam)])
         assert result.exit_code == 2
 
+    def test_rectangular_matrix_is_invalid_input(self, tmp_path):
+        lam = tmp_path / "wide.csv"
+        lam.write_text(matrixkit.matrix_to_csv(np.ones((4, 8))))
+        result = runner.invoke(main, ["reconstruct", str(lam)])
+        assert result.exit_code == 2
+        assert "must be square" in result.output
+
 
 class TestSweeps:
     def test_size_sweep_csv(self, tmp_path):
@@ -138,6 +158,14 @@ class TestSweeps:
         lines = out.read_text().splitlines()
         header = [line for line in lines if not line.startswith("#")][0]
         assert header == "param,trials,rmse_mean,rmse_std,rel_rmse_mean,time_ms_mean,time_ms_std,failures"
+
+    def test_infinite_resistance_bound_is_invalid_input(self, tmp_path):
+        out = tmp_path / "size.csv"
+        result = runner.invoke(main, ["sweep", "size", "--k-range", "2:3", "--trials", "2",
+                                      "--resistance-range", "1:inf", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "resistance_high < inf" in result.output
+        assert not out.exists()
 
     def test_noise_sweep_requires_sigma_list(self):
         result = runner.invoke(main, ["sweep", "noise"])
@@ -220,6 +248,17 @@ class TestDeltaRender:
         invoke("render", delta_path, "--out", a)
         invoke("render", delta_path, "--out", b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--deadband", "nan"), ("--deadband", "inf"), ("--max-width", "inf"), ("--min-width", "nan"),
+    ])
+    def test_non_finite_style_is_invalid_input(self, tmp_path, flag, value):
+        recs = self.make_recs(tmp_path)
+        delta_path, svg_path = tmp_path / "delta.json", tmp_path / "map.svg"
+        invoke("delta", recs["base"], recs["deformed"], "--out", delta_path)
+        result = runner.invoke(main, ["render", str(delta_path), flag, value, "--out", str(svg_path)])
+        assert result.exit_code == 2
+        assert not svg_path.exists()
 
     def test_mismatched_lengths_rejected(self, tmp_path):
         recs = self.make_recs(tmp_path)

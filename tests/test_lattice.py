@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 import warnings
 from copy import deepcopy
@@ -382,7 +383,7 @@ class TestConductanceMap:
             net.values.array[0] = 1.0
         assert net == ConductanceMap(spec, dict(zip(spec.edges, g)))
         assert list(net.values) == list(spec.edges) and len(net.values) == spec.n_edges
-        assert [net[e] for e in spec.edges] == g.tolist()
+        assert [net.values[e] for e in spec.edges] == g.tolist()
         assert EdgeId.spike(99) not in net.values
         for copy in (pickle.loads(pickle.dumps(net)), deepcopy(net)):
             assert copy == net and not copy.values.array.flags.writeable
@@ -424,6 +425,11 @@ class TestConductanceMap:
         net = random_conductances(build_lattice(4), np.random.default_rng(0), 1.0, 2.0)
         resist = np.array(list(net.resistances().values()))
         assert resist.min() >= 1.0 and resist.max() <= 2.0
+
+    @pytest.mark.parametrize("low, high", [(1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)])
+    def test_non_finite_resistance_bound_rejected(self, low, high):
+        with pytest.raises(ValueError, match="resistance_high < inf"):
+            random_conductances(build_lattice(2), np.random.default_rng(0), low, high)
 
 
 class TestNetworkJson:

@@ -10,7 +10,6 @@ from rnet.lattice import (
 )
 from rnet.measure_sim import (
     NO_NOISE,
-    ElementwiseNoise,
     NoNoise,
     ProtocolNoise,
     apply_elementwise_noise,
@@ -24,8 +23,6 @@ def noise_spec_string(model) -> str:
     """The ``parse_noise_spec`` text of a noise model."""
     if isinstance(model, NoNoise):
         return "none"
-    if isinstance(model, ElementwiseNoise):
-        return f"elementwise:{model.sigma:g}"
     if model.quant_step > 0:
         return f"protocol:{model.snr:g}:{model.quant_step:g}"
     return f"protocol:{model.snr:g}"
@@ -50,12 +47,19 @@ class TestSnrToSigma:
 class TestNoiseSpecGrammar:
     @pytest.mark.parametrize("text,model", [
         ("none", NoNoise()),
-        ("elementwise:0.01", ElementwiseNoise(0.01)),
+        ("protocol:100", ProtocolNoise(100.0)),  # relative noise 0.01
         ("protocol:230", ProtocolNoise(230.0)),
         ("protocol:230:1e-9", ProtocolNoise(230.0, quant_step=1e-9)),
     ])
     def test_parse(self, text, model):
         assert parse_noise_spec(text) == model
+
+    @pytest.mark.parametrize("text", [
+        "elementwise:0.01", "elementwise:0", "elementwise:nan", "elementwise:x",
+    ])
+    def test_elementwise_spelling_refused(self, text):
+        with pytest.raises(ValueError, match="protocol:<snr>"):
+            parse_noise_spec(text)
 
     @pytest.mark.parametrize("text", [
         "", "nonsense", "elementwise", "elementwise:x", "protocol",
@@ -66,7 +70,7 @@ class TestNoiseSpecGrammar:
             parse_noise_spec(text)
 
     @pytest.mark.parametrize("model", [
-        NoNoise(), ElementwiseNoise(0.25), ProtocolNoise(650.0),
+        NoNoise(), ProtocolNoise(4.0), ProtocolNoise(650.0),
         ProtocolNoise(230.0, quant_step=2e-8),
     ])
     def test_round_trip(self, model):
@@ -88,7 +92,7 @@ class TestSimulateMeasurement:
 
     @pytest.mark.parametrize("model", [
         NO_NOISE,
-        ElementwiseNoise(0.05),
+        ProtocolNoise(20.0),
         ProtocolNoise(100.0),
         ProtocolNoise(100.0, quant_step=1e-7),
     ])
@@ -102,8 +106,13 @@ class TestSimulateMeasurement:
 
     def test_output_exactly_symmetric(self):
         net = random_conductances(build_lattice(3), np.random.default_rng(5))
-        record = simulate_measurement(net, ElementwiseNoise(0.02), seed=9)
+        record = simulate_measurement(net, ProtocolNoise(50.0), seed=9)
         assert np.array_equal(record.lam.entries, record.lam.entries.T)
+
+    def test_unknown_model_rejected(self):
+        net = uniform_conductances(build_lattice(1))
+        with pytest.raises(TypeError, match="unknown noise model"):
+            simulate_measurement(net, object(), seed=0)
 
     def test_deterministic_per_seed(self):
         net = random_conductances(build_lattice(2), np.random.default_rng(6))
@@ -146,11 +155,7 @@ def per_column_measurement(net, model, seed):
     exact = response_matrix(net).entries
     n = exact.shape[0]
     volts = model.source_volts if isinstance(model, ProtocolNoise) else 5.0
-    sigma = 0.0
-    if isinstance(model, ElementwiseNoise):
-        sigma = model.sigma
-    elif isinstance(model, ProtocolNoise):
-        sigma = 1.0 / model.snr
+    sigma = 1.0 / model.snr if isinstance(model, ProtocolNoise) else 0.0
     column_seeds = np.random.SeedSequence(seed).spawn(n)
     raw = np.empty((n, n))
     for col in range(n):
@@ -169,7 +174,7 @@ def per_column_measurement(net, model, seed):
 class TestMeasurementOracle:
     @pytest.mark.parametrize("model", [
         NO_NOISE,
-        ElementwiseNoise(0.02),
+        ProtocolNoise(50.0),
         ProtocolNoise(230.0),
         ProtocolNoise(230.0, quant_step=1e-3),
     ])

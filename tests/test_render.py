@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 
@@ -249,3 +250,15 @@ class TestRenderDeltaMap:
             RenderStyle(min_width=3.0, max_width=1.0)
         with pytest.raises(ValueError):
             RenderStyle(deadband=-0.1)
+
+    @pytest.mark.parametrize("knobs", [
+        {"deadband": math.nan},
+        {"deadband": math.inf},
+        {"min_width": math.nan},
+        {"max_width": math.nan},
+        {"max_width": math.inf},
+        {"min_width": math.inf, "max_width": math.inf},
+    ])
+    def test_non_finite_style_rejected(self, knobs):
+        with pytest.raises(ValueError):
+            RenderStyle(**knobs)

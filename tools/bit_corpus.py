@@ -31,7 +31,6 @@ import numpy as np
 
 from rnet import (
     NO_NOISE,
-    ElementwiseNoise,
     ProtocolNoise,
     RnetError,
     apply_elementwise_noise,
@@ -42,6 +41,7 @@ from rnet import (
     forward_boundary_solve,
     network_from_json,
     network_to_json,
+    parse_noise_spec,
     random_conductances,
     reconstruct_full,
     reconstruction_to_json,
@@ -118,7 +118,7 @@ def measurement_cases():
     """``simulate_measurement`` raw columns and symmetrized matrix, four noise models."""
     models = {
         "none": NO_NOISE,
-        "elementwise:0.02": ElementwiseNoise(0.02),
+        "protocol:50": ProtocolNoise(50.0),
         "protocol:230": ProtocolNoise(230.0),
         "protocol:230:1e-3": ProtocolNoise(230.0, quant_step=1e-3),
     }
@@ -131,6 +131,22 @@ def measurement_cases():
                 record = simulate_measurement(net, model, seed=i)
                 value = digest(record.raw_columns, record.lam.entries)
                 yield f"measure k={k} {name} net={i}", value
+
+
+NOISE_SPECS = (
+    "none", "protocol:230", "protocol:230:1e-3", "elementwise:0.01", "elementwise:0",
+    "protocol:-5", "nonsense",
+)
+
+
+def noise_spec_cases():
+    """What ``parse_noise_spec`` makes of a fixed list of specs: the model's repr, or the refusal."""
+    for text in NOISE_SPECS:
+        try:
+            out = repr(parse_noise_spec(text))
+        except ValueError as exc:  # the refusal is the result
+            out = f"{type(exc).__name__}: {exc}"
+        yield f"noise_spec {text}", digest(out.encode())
 
 
 def forward_cases():
@@ -244,6 +260,8 @@ def main() -> int:
     for name, result in sweep_cases():
         print(name, digest(untimed_csv(result)))
     for name, value in measurement_cases():
+        print(name, value)
+    for name, value in noise_spec_cases():
         print(name, value)
     for name, value in forward_cases():
         print(name, value)
