@@ -21,16 +21,13 @@ from .errors import (
     DimensionMismatchError,
     InvalidConductanceError,
     NetworkFormatError,
-    ResidualTooLargeError,
     SingularBlockError,
     SingularMatrixError,
     SpecMismatchError,
     ZeroDivisorError,
 )
 from .lattice import (
-    ConductanceMap,
     ResponseMatrix,
-    _reciprocal,
     build_lattice,
     network_from_json,
     network_to_json,
@@ -38,7 +35,6 @@ from .lattice import (
     response_matrix,
 )
 from .reconstruct import (
-    ReconstructionResult,
     reconstruct_full,
     reconstruction_edges_from_json,
     reconstruction_to_json,
@@ -54,7 +50,6 @@ _SOLVER_ERRORS = (
     DegenerateDeltaError,
     ZeroDivisorError,
     InvalidConductanceError,
-    ResidualTooLargeError,
 )
 _INPUT_ERRORS = (
     NetworkFormatError,
@@ -134,35 +129,6 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _check_format(value: str | None, expected: str):
-    if value is not None and value != expected:
-        raise ValueError(f"this command only writes {expected!r} output")
-
-
-def _load_response_csv(path: str, length: int | None) -> ResponseMatrix:
-    lam = ResponseMatrix(matrixkit.matrix_from_csv(_read_text(path)))
-    if length is not None and length != lam.length:
-        raise ValueError(f"--length {length} does not match matrix order {4 * lam.length}")
-    return lam
-
-
-def _load_reconstruction(path: str) -> ReconstructionResult:
-    spec, resist = reconstruction_edges_from_json(_read_text(path))
-    return ReconstructionResult(
-        conductances=ConductanceMap(spec, _reciprocal(resist.array), check_values=False),
-        resistances=resist,
-        report=(),
-        elapsed_ms=0.0,
-        warnings=(),
-    )
-
-
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv", "svg"]), default=None,
-    help="Output format (each command has exactly one; this just validates).",
-)
-
-
 @click.group()
 def main():
     """Square resistor-network tomography toolkit."""
@@ -174,11 +140,9 @@ def main():
 @click.option("--resistance-range", default="1:2", show_default=True,
               help="Uniform resistance draw lo:hi.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@format_option
 @handles_errors
-def generate(length, seed, resistance_range, out, fmt):
+def generate(length, seed, resistance_range, out):
     """Generate a random network document (JSON)."""
-    _check_format(fmt, "json")
     lo, hi = _parse_range_pair(resistance_range)
     spec = build_lattice(length)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -189,11 +153,9 @@ def generate(length, seed, resistance_range, out, fmt):
 @main.command()
 @click.argument("network", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@format_option
 @handles_errors
-def forward(network, out, fmt):
+def forward(network, out):
     """Compute the exact response matrix of a network (CSV)."""
-    _check_format(fmt, "csv")
     net = network_from_json(_read_text(network))
     lam = response_matrix(net)
     _write_output(out, matrixkit.matrix_to_csv(lam.entries))
@@ -205,11 +167,9 @@ def forward(network, out, fmt):
               help='Noise spec: "none" or "protocol:<snr>[:<quantStep>]".')
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@format_option
 @handles_errors
-def measure(network, noise, seed, out, fmt):
+def measure(network, noise, seed, out):
     """Simulate a measurement of the response matrix (CSV, symmetrized)."""
-    _check_format(fmt, "csv")
     net = network_from_json(_read_text(network))
     model = measure_sim.parse_noise_spec(noise)
     record = measure_sim.simulate_measurement(net, model, seed)
@@ -218,15 +178,11 @@ def measure(network, noise, seed, out, fmt):
 
 @main.command()
 @click.argument("lambda_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--length", type=int, default=None,
-              help="Network length k; inferred from the matrix order when omitted.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@format_option
 @handles_errors
-def reconstruct(lambda_csv, length, out, fmt):
+def reconstruct(lambda_csv, out):
     """Reconstruct every edge conductance from a response matrix (JSON)."""
-    _check_format(fmt, "json")
-    lam = _load_response_csv(lambda_csv, length)
+    lam = ResponseMatrix(matrixkit.matrix_from_csv(_read_text(lambda_csv)))
     result = reconstruct_full(lam, lam.length)
     _write_output(out, reconstruction_to_json(result))
 
@@ -242,11 +198,9 @@ def sweep():
 @click.option("--resistance-range", default="1:2", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@format_option
 @handles_errors
-def sweep_size(k_range, trials, resistance_range, seed, out, fmt):
+def sweep_size(k_range, trials, resistance_range, seed, out):
     """Reconstruction error and time vs. network length."""
-    _check_format(fmt, "csv")
     lo, hi = _parse_range_pair(resistance_range)
     result = experiments.run_size_sweep(_parse_k_range(k_range), trials, lo, hi, seed=seed)
     _write_output(out, experiments.sweep_to_csv(result))
@@ -258,11 +212,9 @@ def sweep_size(k_range, trials, resistance_range, seed, out, fmt):
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@format_option
 @handles_errors
-def sweep_noise(k_list, sigma_list, trials, seed, out, fmt):
+def sweep_noise(k_list, sigma_list, trials, seed, out):
     """Reconstruction error vs. multiplicative noise level."""
-    _check_format(fmt, "csv")
     result = experiments.run_noise_sweep(
         _parse_int_list(k_list), _parse_float_list(sigma_list), trials, seed=seed
     )
@@ -274,11 +226,9 @@ def sweep_noise(k_list, sigma_list, trials, seed, out, fmt):
 @click.option("--trials", type=int, default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@format_option
 @handles_errors
-def sweep_timing(k_range, trials, seed, out, fmt):
+def sweep_timing(k_range, trials, seed, out):
     """Reconstruction wall time vs. network length (always sequential)."""
-    _check_format(fmt, "csv")
     result = experiments.run_timing_profile(_parse_k_range(k_range), trials, seed=seed)
     _write_output(out, experiments.sweep_to_csv(result))
 
@@ -287,13 +237,11 @@ def sweep_timing(k_range, trials, seed, out, fmt):
 @click.argument("baseline", type=click.Path(exists=True, dir_okay=False))
 @click.argument("deformed", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@format_option
 @handles_errors
-def delta(baseline, deformed, out, fmt):
+def delta(baseline, deformed, out):
     """Relative resistance change between two reconstructions (JSON)."""
-    _check_format(fmt, "json")
-    base = _load_reconstruction(baseline)
-    defo = _load_reconstruction(deformed)
+    _, base = reconstruction_edges_from_json(_read_text(baseline))
+    _, defo = reconstruction_edges_from_json(_read_text(deformed))
     dmap = render.compute_delta_map(base, defo)
     _write_output(out, render.delta_map_to_json(dmap))
 
@@ -305,11 +253,9 @@ def delta(baseline, deformed, out, fmt):
 @click.option("--min-width", type=float, default=1.2, show_default=True)
 @click.option("--max-width", type=float, default=7.0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@format_option
 @handles_errors
-def render_cmd(delta_json, deadband, min_width, max_width, out, fmt):
+def render_cmd(delta_json, deadband, min_width, max_width, out):
     """Render a delta map as an SVG drawing of the lattice."""
-    _check_format(fmt, "svg")
     dmap = render.delta_map_from_json(_read_text(delta_json))
     style = render.RenderStyle(deadband=deadband, min_width=min_width, max_width=max_width)
     _write_output(out, render.render_delta_map(dmap, style))

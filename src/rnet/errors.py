@@ -41,10 +41,6 @@ class InvalidConductanceError(RnetError):
     """A conductance value violates an operation's positivity requirement."""
 
 
-class ResidualTooLargeError(RnetError):
-    """A structurally isolated row survived a peel with a large residual."""
-
-
 class SpecMismatchError(RnetError):
     """Two objects refer to lattices of different lengths."""
 

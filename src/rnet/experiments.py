@@ -79,7 +79,6 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-    seed: int
     config: dict[str, str]
 
 
@@ -111,7 +110,7 @@ def _check_grid(k_values: Sequence[int], trials: int, sigmas: Sequence[float] = 
     k_values = [_positive_int(k, "network length") for k in k_values]
     for s in sigmas:
         if not (math.isfinite(s) and s >= 0):
-            raise ValueError(f"sigma must be >= 0, got {s!r}")
+            raise ValueError(f"sigma must be finite and >= 0, got {s!r}")
     return k_values, trials
 
 
@@ -189,7 +188,7 @@ def run_size_sweep(
         "resistance_range": f"{resistance_low:g}:{resistance_high:g}",
         "seed": str(seed),
     }
-    return SweepResult(rows=rows, seed=seed, config=config)
+    return SweepResult(rows=rows, config=config)
 
 
 def run_noise_sweep(
@@ -221,7 +220,7 @@ def run_noise_sweep(
         "trials": str(trials),
         "seed": str(seed),
     }
-    return SweepResult(rows=_peel_rows(rows), seed=seed, config=config)
+    return SweepResult(rows=_peel_rows(rows), config=config)
 
 
 def run_timing_profile(
@@ -253,7 +252,7 @@ def run_timing_profile(
         "trials": str(trials),
         "seed": str(seed),
     }
-    return SweepResult(rows=tuple(rows), seed=seed, config=config)
+    return SweepResult(rows=tuple(rows), config=config)
 
 
 CSV_HEADER = [

@@ -9,10 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# The peel refuses an opposite-face block whose condition number reaches
-# 1 / PIVOT_FLOOR (``reconstruct._tilde_stack``).
-PIVOT_FLOOR = 1e-14
-
 
 def as_matrix(data) -> np.ndarray:
     """Copy ``data`` into a fresh 2-D float64 array, rejecting NaN/Inf."""

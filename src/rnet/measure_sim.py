@@ -27,7 +27,7 @@ import numpy as np
 from . import matrixkit
 from .lattice import ConductanceMap, ResponseMatrix, response_matrix
 
-DEFAULT_SOURCE_VOLTS = 5.0
+SOURCE_VOLTS = 5.0
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,11 @@ class ProtocolNoise:
 
     snr: float
     quant_step: float = 0.0
-    source_volts: float = DEFAULT_SOURCE_VOLTS
 
     def __post_init__(self):
-        if not (math.isfinite(self.snr) and self.snr > 0):
-            raise ValueError(f"snr must be > 0, got {self.snr!r}")
+        snr_to_sigma(self.snr)
         if not (math.isfinite(self.quant_step) and self.quant_step >= 0):
             raise ValueError(f"quant_step must be >= 0, got {self.quant_step!r}")
-        if not (math.isfinite(self.source_volts) and self.source_volts > 0):
-            raise ValueError(f"source_volts must be > 0, got {self.source_volts!r}")
 
 
 NoiseModel = Union[NoNoise, ProtocolNoise]
@@ -62,9 +58,9 @@ NO_NOISE = NoNoise()
 
 
 def snr_to_sigma(snr: float) -> float:
-    """Relative noise level implied by a mean-over-std measurement ratio."""
-    if not (math.isfinite(snr) and snr > 0):
-        raise ValueError(f"snr must be > 0, got {snr!r}")
+    """Relative noise level implied by a mean-over-std ratio; its reciprocal must be finite."""
+    if not (math.isfinite(snr) and snr > 0 and math.isfinite(1.0 / float(snr))):
+        raise ValueError(f"snr must be finite and > 0 with a finite reciprocal, got {snr!r}")
     return 1.0 / snr
 
 
@@ -99,8 +95,6 @@ class MeasurementRecord:
 
     lam: ResponseMatrix
     raw_columns: np.ndarray
-    seed: "int | np.random.SeedSequence"
-    model: NoiseModel
 
 
 def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> MeasurementRecord:
@@ -113,9 +107,9 @@ def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> Measur
     exact = response_matrix(net).entries
     n = exact.shape[0]
     if isinstance(model, ProtocolNoise):
-        volts, sigma, quant = model.source_volts, snr_to_sigma(model.snr), model.quant_step
+        sigma, quant = snr_to_sigma(model.snr), model.quant_step
     elif isinstance(model, NoNoise):
-        volts, sigma, quant = DEFAULT_SOURCE_VOLTS, 0.0, 0.0
+        sigma, quant = 0.0, 0.0
     else:
         raise TypeError(f"unknown noise model {model!r}")
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -124,7 +118,7 @@ def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> Measur
     # Row j of ``readings`` is column j without its driven entry, so each
     # column's sum runs over one contiguous row, in the order of a 1-D sum.
     off_diagonal = ~np.eye(n, dtype=bool)
-    readings = (volts * exact.T[off_diagonal]).reshape(n, n - 1)
+    readings = (SOURCE_VOLTS * exact.T[off_diagonal]).reshape(n, n - 1)
     if sigma > 0.0:
         readings = readings * np.stack(
             [np.random.default_rng(s).normal(1.0, sigma, size=n - 1) for s in column_seeds]
@@ -135,8 +129,8 @@ def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> Measur
     raw.T[off_diagonal] = readings.ravel()
     raw[np.diag_indices(n)] = -np.sum(readings, axis=1)
 
-    lam = matrixkit.symmetrize_average(raw / volts)
-    return MeasurementRecord(lam=ResponseMatrix(lam), raw_columns=raw, seed=seed, model=model)
+    lam = matrixkit.symmetrize_average(raw / SOURCE_VOLTS)
+    return MeasurementRecord(lam=ResponseMatrix(lam), raw_columns=raw)
 
 
 def _elementwise_noise(stack: np.ndarray, sigma: float, seeds) -> np.ndarray:
@@ -148,7 +142,7 @@ def _elementwise_noise(stack: np.ndarray, sigma: float, seeds) -> np.ndarray:
     non-finite sigma and for a non-finite result.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be >= 0, got {sigma!r}")
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     factors = np.stack(
         [np.random.default_rng(s).normal(1.0, sigma, size=stack.shape[1:]) for s in seeds]
     )

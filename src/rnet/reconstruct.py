@@ -45,7 +45,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidConductanceError,
     NetworkFormatError,
-    ResidualTooLargeError,
     RnetError,
     SingularBlockError,
     ZeroDivisorError,
@@ -67,6 +66,8 @@ from .lattice import (
     layer_tangential_edge,
 )
 
+# The peel refuses an opposite-face block whose condition number reaches 1 / PIVOT_FLOOR.
+PIVOT_FLOOR = 1e-14
 # Relative floor below which the spike-removal denominator counts as zero.
 DELTA_FLOOR = 1e-13
 # Relative floor for the off-diagonal divisor in the boundary-edge formula.
@@ -118,7 +119,7 @@ def _tilde_stack(lam: np.ndarray):
     call whose right-hand side also carries the identity, so the same solve
     yields each block's inverse and hence its infinity-norm condition
     number.  Also returns those condition numbers ``(A, 4)`` and the refusal
-    of each item whose opposite block reaches ``1 / matrixkit.PIVOT_FLOOR``.
+    of each item whose opposite block reaches ``1 / PIVOT_FLOOR``.
     """
     n_items, m = len(lam), lam.shape[1] // 4
     blocks = lam.reshape(n_items, 4, m, 4, m).swapaxes(2, 3)  # [item, f, g] is block (f, g)
@@ -131,10 +132,10 @@ def _tilde_stack(lam: np.ndarray):
     errors = {
         i: SingularBlockError(
             f"opposite-face block {_TILDE_RECIPE[FACES[f]][2]} is singular: "
-            f"condition {cond[i, f]:.3e} at or above {1.0 / matrixkit.PIVOT_FLOOR:.0e}",
+            f"condition {cond[i, f]:.3e} at or above {1.0 / PIVOT_FLOOR:.0e}",
             face=FACES[f],
         )
-        for i, f in _first_flags(~(cond < 1.0 / matrixkit.PIVOT_FLOOR)).items()
+        for i, f in _first_flags(~(cond < 1.0 / PIVOT_FLOOR)).items()
     }
     return own - coupling @ x[..., :m], cond, errors
 
@@ -217,7 +218,7 @@ def extract_boundary_conductances(lam) -> PeelExtraction:
     Raises:
         DimensionMismatchError: the order is not a positive multiple of 4.
         SingularBlockError: an opposite-face block's condition number
-            reaches ``1 / matrixkit.PIVOT_FLOOR``, which signals a
+            reaches ``1 / PIVOT_FLOOR``, which signals a
             degenerate or overly noisy response matrix.
         ZeroDivisorError: an edge divisor is too small.
     """
@@ -308,7 +309,6 @@ class LayerDiagnostics:
     layer: int
     length: int
     condition: dict[str, float]
-    asymmetry: float
     residual_max: float | None = None
     flags: tuple[str, ...] = ()
 
@@ -540,7 +540,6 @@ def peel_layer(
     lam,
     extraction: PeelExtraction,
     schedule: Sequence[tuple] | None = None,
-    residual_limit: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Remove the outer ring of ``lam`` and compact it to the ``4(m-2)``-order response matrix.
 
@@ -552,15 +551,13 @@ def peel_layer(
     Which rows get deleted is decided by lattice combinatorics, never by
     thresholding; their residual is warned about beyond ``RESIDUAL_WARN``
     relative to the largest diagonal, because under noise the "zero" rows
-    are merely small.
+    are merely small.  A large residual warns and proceeds.
 
     Raises:
         DimensionMismatchError: ``lam`` is not of order ``4 * extraction.length``.
         InvalidConductanceError: any of the layer's spikes is nonpositive
             or not finite, whichever rule would remove it.
         DegenerateDeltaError: the spikes are inconsistent with the matrix.
-        ResidualTooLargeError: only when ``residual_limit`` is given and
-            exceeded; by default large residuals warn and proceed.
     """
     a, m = matrixkit.as_matrix(lam), extraction.length
     if a.shape != (4 * m, 4 * m):
@@ -580,8 +577,6 @@ def peel_layer(
     compact, residual, scale = _compact(a[None], stripped)
     note = _residual_note(residual[0], scale[0])
     if note is not None:
-        if residual_limit is not None and residual[0] > residual_limit:
-            raise ResidualTooLargeError(note)
         _warnings.warn(note, RuntimeWarning, stacklevel=2)
     return compact[0], float(residual[0])
 
@@ -652,7 +647,7 @@ def _peel_stack(lams: Sequence[np.ndarray]):
     divisors, spike positivity, spike block.  Returns, per stack: the
     catalog-ordered conductances ``(B, E)``, NaN from where a refusal
     stopped the peel; each item's refusal (annotated with its layer) or
-    ``None``; the diagnostics ``(condition, asymmetry, residual, scale)``
+    ``None``; the diagnostics ``(condition, residual, scale)``
     indexed ``[layer, item]``, NaN where an item did not get that far; and
     each item's ms: each ring's wall time, set-up it triggers included, is
     split evenly among the items it peeled.  Warns about nothing.
@@ -665,7 +660,7 @@ def _peel_stack(lams: Sequence[np.ndarray]):
     refusals: list[RnetError | None] = [None] * n_items
     # Diagnostics are kept by ring length: a length-k item's layer L is row k - 2L.
     condition = np.full((longest + 1, n_items, 4), np.nan)
-    asymmetry, residual, scale = np.full((3, longest + 1, n_items), np.nan)
+    residual, scale = np.full((2, longest + 1, n_items), np.nan)
     ms = np.zeros(n_items)
     pending = {}  # ring length -> the (items, stack) parts that enter that ring
     for k, lo, hi, lam in zip(ks, first, first[1:], lams):
@@ -676,9 +671,6 @@ def _peel_stack(lams: Sequence[np.ndarray]):
             parts = pending.pop(m)
             entered, cur = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
             items = entered
-            cur_scale = np.abs(cur).max(axis=(1, 2))
-            cur_scale[cur_scale == 0.0] = 1.0
-            asymmetry[m, items] = np.abs(cur - cur.swapaxes(1, 2)).max(axis=(1, 2)) / cur_scale
             tilde, condition[m, items], errors = _tilde_stack(cur)
             items, cur, tilde = _leave(errors, m, k_of, items, refusals, cur, tilde)
             values, errors = _extract_stack(tilde)
@@ -698,7 +690,7 @@ def _peel_stack(lams: Sequence[np.ndarray]):
         (
             g[lo:hi, _catalog_slots(k)],
             refusals[lo:hi],
-            tuple(d[k:0:-2, lo:hi] for d in (condition, asymmetry, residual, scale)),
+            tuple(d[k:0:-2, lo:hi] for d in (condition, residual, scale)),
             ms[lo:hi],
         )
         for k, lo, hi in zip(ks, first, first[1:])
@@ -722,11 +714,13 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
         )
     spec = LatticeSpec(k)
     notes: list[str] = []
-    g, refusals, (condition, asymmetry, residual, diag_scale), _ = _peel_stack([entries[None]])[0]
-    if asymmetry[0, 0] > ASYMMETRY_WARN:  # layer 0's asymmetry is the input's
-        note = f"input asymmetry {asymmetry[0, 0]:.3e} above {ASYMMETRY_WARN:.0e}; symmetrize first"
+    with np.errstate(over="ignore"):  # an overflow reads as infinite asymmetry
+        asymmetry = np.abs(entries - entries.T).max() / (np.abs(entries).max() or 1.0)
+    if asymmetry > ASYMMETRY_WARN:
+        note = f"input asymmetry {asymmetry:.3e} above {ASYMMETRY_WARN:.0e}; symmetrize first"
         notes.append(note)
         _warnings.warn(note, RuntimeWarning, stacklevel=2)
+    g, refusals, (condition, residual, diag_scale), _ = _peel_stack([entries[None]])[0]
     report, refusal = [], refusals[0]
     ring_major = np.empty_like(g[0])
     ring_major[_catalog_slots(k)] = g[0]
@@ -739,7 +733,6 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
             layer=layer,
             length=m,
             condition=dict(zip(FACES, condition[layer, 0].tolist())),
-            asymmetry=float(asymmetry[layer, 0]),
             residual_max=float(residual[layer, 0]) if m > 2 else None,
             flags=_flag_texts(m, ring_major[2 * (m - 1) * (m - 2) : 2 * m * (m + 1)]),
         )

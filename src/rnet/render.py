@@ -17,8 +17,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SpecMismatchError
-from .lattice import EdgeId, LatticeSpec, _edge_array, _edge_names, _edge_values, _read_document
-from .reconstruct import ReconstructionResult
+from .lattice import EdgeId, EdgeValues, LatticeSpec, _edge_array, _edge_names, _edge_values
+from .lattice import _read_document
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,13 @@ class DeltaMap:
         return float(np.abs(self.delta.array).max())
 
 
-def compute_delta_map(
-    baseline: ReconstructionResult, deformed: ReconstructionResult
-) -> DeltaMap:
-    """Relative change of every edge resistance between two reconstructions."""
+def compute_delta_map(baseline: EdgeValues, deformed: EdgeValues) -> DeltaMap:
+    """Relative change of every edge resistance between two reconstructions' ``resistances``."""
     if baseline.spec != deformed.spec:
         raise SpecMismatchError(
             f"baseline has length {baseline.spec.length}, deformed {deformed.spec.length}"
         )
-    r0, r1 = baseline.resistances.array, deformed.resistances.array
+    r0, r1 = baseline.array, deformed.array
     bad0 = ~(np.isfinite(r0) & (r0 > 0))
     bad = bad0 | ~np.isfinite(r1)
     if bad.any():
@@ -81,16 +79,19 @@ def delta_map_from_json(text: str) -> DeltaMap:
     return DeltaMap(spec, _edge_values(spec, raw.items(), "delta must be finite", math.isfinite))
 
 
+# Drawing geometry: grid pitch, outer margin and the legend strip below the lattice.
+_CELL = 44.0
+_MARGIN = 30.0
+_LEGEND_HEIGHT = 40.0
+
+
 @dataclass(frozen=True)
 class RenderStyle:
     """Presentation knobs for the SVG output."""
 
-    cell: float = 44.0
-    margin: float = 30.0
     min_width: float = 1.2
     max_width: float = 7.0
     deadband: float = 0.005
-    legend_height: float = 40.0
 
     def __post_init__(self):
         if not 0 <= self.deadband < math.inf:
@@ -112,12 +113,12 @@ def _mix(ramp, t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _node_xy(style: RenderStyle, r: float, c: float) -> tuple[float, float]:
+def _node_xy(r: float, c: float) -> tuple[float, float]:
     # Grid rows/cols 1..k; row 0 / col 0 / row k+1 / col k+1 hold boundary nodes.
-    return (style.margin + c * style.cell, style.margin + r * style.cell)
+    return (_MARGIN + c * _CELL, _MARGIN + r * _CELL)
 
 
-def _edge_segment(spec: LatticeSpec, edge: EdgeId, style: RenderStyle):
+def _edge_segment(spec: LatticeSpec, edge: EdgeId):
     k = spec.length
     if edge.kind == "S":
         r, c = spec.spike_anchor(edge.i)
@@ -130,10 +131,10 @@ def _edge_segment(spec: LatticeSpec, edge: EdgeId, style: RenderStyle):
             outer = (k + 1, c)
         else:
             outer = (r, 0)
-        return _node_xy(style, *outer), _node_xy(style, r, c)
+        return _node_xy(*outer), _node_xy(r, c)
     if edge.kind == "H":
-        return _node_xy(style, edge.i, edge.j), _node_xy(style, edge.i, edge.j + 1)
-    return _node_xy(style, edge.i, edge.j), _node_xy(style, edge.i + 1, edge.j)
+        return _node_xy(edge.i, edge.j), _node_xy(edge.i, edge.j + 1)
+    return _node_xy(edge.i, edge.j), _node_xy(edge.i + 1, edge.j)
 
 
 def render_delta_map(dmap: DeltaMap, style: RenderStyle = RenderStyle()) -> str:
@@ -144,8 +145,8 @@ def render_delta_map(dmap: DeltaMap, style: RenderStyle = RenderStyle()) -> str:
     """
     spec = dmap.spec
     k = spec.length
-    span = style.margin * 2 + (k + 1) * style.cell
-    height = span + style.legend_height
+    span = _MARGIN * 2 + (k + 1) * _CELL
+    height = span + _LEGEND_HEIGHT
     max_abs = dmap.max_abs()
 
     lines = [
@@ -163,15 +164,15 @@ def render_delta_map(dmap: DeltaMap, style: RenderStyle = RenderStyle()) -> str:
             t = min(abs(d) / max_abs, 1.0)
             color = _mix(_POS_RAMP if d > 0 else _NEG_RAMP, t)
             width = style.min_width + (style.max_width - style.min_width) * t
-        (x1, y1), (x2, y2) = _edge_segment(spec, edge, style)
+        (x1, y1), (x2, y2) = _edge_segment(spec, edge)
         lines.append(
             f'<line data-edge="{name}" x1="{x1:.2f}" y1="{y1:.2f}" '
             f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="{color}" '
             f'stroke-width="{width:.2f}" stroke-linecap="round"/>'
         )
-    legend_y = span + style.legend_height * 0.6
+    legend_y = span + _LEGEND_HEIGHT * 0.6
     lines.append(
-        f'<text x="{style.margin:.2f}" y="{legend_y:.2f}" '
+        f'<text x="{_MARGIN:.2f}" y="{legend_y:.2f}" '
         f'font-family="sans-serif" font-size="14">'
         f"max |dR/R0| = {max_abs:.4g} (red: increase, blue: decrease, "
         f"gray: within {style.deadband:.3g})</text>"

@@ -405,7 +405,7 @@ def _render_roundtrip(k, predicate, factor):
     deformed = _stretch(base, predicate, factor)
     rec_base = reconstruct_full(response_matrix(base), k)
     rec_def = reconstruct_full(response_matrix(deformed), k)
-    dmap = compute_delta_map(rec_base, rec_def)
+    dmap = compute_delta_map(rec_base.resistances, rec_def.resistances)
     return dmap, render_delta_map(dmap, RenderStyle())
 
 

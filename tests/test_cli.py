@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ class TestForwardAndMeasure:
         result = runner.invoke(main, ["measure", str(net_file), "--noise", "gamma:1"])
         assert result.exit_code == 2
 
+    def test_subnormal_snr_refused_naming_the_spec(self, net_file, tmp_path):
+        out = tmp_path / "m.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["measure", str(net_file), "--noise", "protocol:1e-320",
+                                          "--out", str(out)])
+        assert result.exit_code == 2
+        assert "error: bad noise spec 'protocol:1e-320'" in result.output
+        assert "RuntimeWarning" not in result.output
+        assert not out.exists()
+
     def test_elementwise_noise_spec_refused(self, net_file, tmp_path):
         out = tmp_path / "m.csv"
         result = runner.invoke(main, ["measure", str(net_file), "--noise", "elementwise:0.01",
@@ -122,12 +134,6 @@ class TestReconstruct:
         by_id = {item["id"]: item["conductance"] for item in doc["edges"]}
         for e in net.spec.edges:
             assert by_id[str(e)] == pytest.approx(net.values[e], rel=1e-8)
-
-    def test_explicit_length_checked(self, net_file, tmp_path):
-        lam = tmp_path / "lam.csv"
-        invoke("forward", net_file, "--out", lam)
-        result = runner.invoke(main, ["reconstruct", str(lam), "--length", "4"])
-        assert result.exit_code == 2
 
     def test_singular_input_is_solver_failure(self, tmp_path):
         lam = tmp_path / "bad.csv"
@@ -186,6 +192,8 @@ class TestSweeps:
             ("3,0", "1e-3", "got 0"),
             (",", "1e-3", "at least one length"),
             ("3", ",", "one sigma"),
+            ("3", "inf", "sigma must be finite and >= 0, got inf"),
+            ("3", "nan", "sigma must be finite and >= 0, got nan"),
         ],
     )
     def test_bad_noise_grid_is_invalid_input(self, tmp_path, k_list, sigma_list, message):
@@ -313,8 +321,28 @@ class TestOutputHandling:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".rnet-")]
         assert leftovers == []
 
-    def test_format_flag_validated(self, net_file):
-        result = runner.invoke(main, ["forward", str(net_file), "--format", "svg"])
+    @pytest.mark.parametrize("command, removed", [
+        ("generate --length 2", "--format json"),
+        ("forward {net}", "--format csv"),
+        ("measure {net}", "--format csv"),
+        ("reconstruct {lam}", "--format json"),
+        ("sweep size --k-range 2:2 --trials 1", "--format csv"),
+        ("sweep noise --k-list 2 --sigma-list 0 --trials 1", "--format csv"),
+        ("sweep timing --k-range 2:2 --trials 1", "--format csv"),
+        ("delta {rec} {rec}", "--format json"),
+        ("render {delta}", "--format svg"),
+        ("reconstruct {lam}", "--length 4"),
+    ], ids=["generate", "forward", "measure", "reconstruct", "sweep-size", "sweep-noise",
+            "sweep-timing", "delta", "render", "reconstruct-length"])
+    def test_removed_option_refused(self, net_file, tmp_path, command, removed):
+        # Each command writes one fixed format, and reconstruct reads k off the
+        # matrix order, so neither option exists.
+        paths = {name: tmp_path / name for name in ("lam", "rec", "delta")}
+        invoke("forward", net_file, "--out", paths["lam"])
+        invoke("reconstruct", paths["lam"], "--out", paths["rec"])
+        invoke("delta", paths["rec"], paths["rec"], "--out", paths["delta"])
+        args = command.format(net=net_file, **paths).split()
+        assert runner.invoke(main, args).exit_code == 0
+        result = runner.invoke(main, args + removed.split())
         assert result.exit_code == 2
-        result = invoke("forward", net_file, "--format", "csv")
-        assert result.exit_code == 0
+        assert re.search(rf"no such option\W+{removed.split()[0]}\b", result.output, re.I)

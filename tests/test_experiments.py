@@ -213,6 +213,11 @@ class TestNoiseSweep:
         with pytest.raises(ValueError):
             run_noise_sweep([3], [-0.1], trials=2)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match=f"^sigma must be finite and >= 0, got {sigma!r}$"):
+            run_noise_sweep([3], [sigma], trials=2)
+
 
 class TestNoisyRow:
     """A noise-sweep row corrupts its stack at once, trial by trial equal to the public B=1 call."""
@@ -253,7 +258,7 @@ class TestNoisyRow:
     @pytest.mark.parametrize("sigma", [-1e-3, math.nan, math.inf])
     def test_bad_sigma_refused(self, sigma):
         _, lam = experiments._draw_row(3, 2, 0)
-        with pytest.raises(ValueError, match="sigma must be >= 0"):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
             experiments._noisy(lam, 3, 0, sigma, 0)
 
 

@@ -10,6 +10,7 @@ from rnet.lattice import (
 )
 from rnet.measure_sim import (
     NO_NOISE,
+    SOURCE_VOLTS,
     NoNoise,
     ProtocolNoise,
     apply_elementwise_noise,
@@ -38,7 +39,7 @@ class TestSnrToSigma:
     def test_large_snr_limit(self):
         assert snr_to_sigma(1e12) == pytest.approx(0.0, abs=1e-11)
 
-    @pytest.mark.parametrize("bad", [0.0, -3.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0.0, -3.0, float("nan"), float("inf"), 1e-320])
     def test_nonpositive_rejected(self, bad):
         with pytest.raises(ValueError):
             snr_to_sigma(bad)
@@ -68,6 +69,10 @@ class TestNoiseSpecGrammar:
     def test_bad_specs_rejected(self, text):
         with pytest.raises(ValueError):
             parse_noise_spec(text)
+
+    def test_subnormal_snr_names_the_spec(self):
+        with pytest.raises(ValueError, match=r"^bad noise spec 'protocol:1e-320': .*finite reciprocal"):
+            parse_noise_spec("protocol:1e-320")
 
     @pytest.mark.parametrize("model", [
         NoNoise(), ProtocolNoise(4.0), ProtocolNoise(650.0),
@@ -154,20 +159,19 @@ def per_column_measurement(net, model, seed):
     """``simulate_measurement`` one driven column at a time, as a rig acquires them."""
     exact = response_matrix(net).entries
     n = exact.shape[0]
-    volts = model.source_volts if isinstance(model, ProtocolNoise) else 5.0
     sigma = 1.0 / model.snr if isinstance(model, ProtocolNoise) else 0.0
     column_seeds = np.random.SeedSequence(seed).spawn(n)
     raw = np.empty((n, n))
     for col in range(n):
         others = np.arange(n) != col
-        readings = (volts * exact[:, col])[others]
+        readings = (SOURCE_VOLTS * exact[:, col])[others]
         if sigma > 0.0:
             readings = readings * np.random.default_rng(column_seeds[col]).normal(1.0, sigma, n - 1)
         if isinstance(model, ProtocolNoise) and model.quant_step > 0.0:
             readings = np.round(readings / model.quant_step) * model.quant_step
         raw[others, col] = readings
         raw[col, col] = -np.sum(readings)
-    lam = raw / volts
+    lam = raw / SOURCE_VOLTS
     return raw, (lam + lam.T) / 2.0
 
 
@@ -208,7 +212,7 @@ class TestApplyElementwiseNoise:
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_non_finite_sigma_rejected(self, sigma):
         lam = response_matrix(uniform_conductances(build_lattice(1)))
-        with pytest.raises(ValueError, match="sigma must be >= 0"):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
             apply_elementwise_noise(lam, sigma, seed=0)
 
     def test_non_finite_result_rejected(self):

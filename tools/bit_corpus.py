@@ -31,7 +31,9 @@ import numpy as np
 
 from rnet import (
     NO_NOISE,
+    DeltaMap,
     ProtocolNoise,
+    RenderStyle,
     RnetError,
     apply_elementwise_noise,
     build_lattice,
@@ -45,6 +47,7 @@ from rnet import (
     random_conductances,
     reconstruct_full,
     reconstruction_to_json,
+    render_delta_map,
     response_matrix,
     simulate_measurement,
     uniform_conductances,
@@ -135,7 +138,7 @@ def measurement_cases():
 
 NOISE_SPECS = (
     "none", "protocol:230", "protocol:230:1e-3", "elementwise:0.01", "elementwise:0",
-    "protocol:-5", "nonsense",
+    "protocol:-5", "protocol:1e-320", "nonsense",
 )
 
 
@@ -180,7 +183,7 @@ def writer_cases():
             yield f"network json k={k} seed={seed}", digest(
                 net_text.encode(), np.array([back[e] for e in spec.edges])
             )
-            delta_text = delta_map_to_json(compute_delta_map(rec0, rec1))
+            delta_text = delta_map_to_json(compute_delta_map(rec0.resistances, rec1.resistances))
             back = delta_map_from_json(delta_text).delta
             yield f"delta json k={k} seed={seed}", digest(
                 delta_text.encode(), np.array([back[e] for e in spec.edges])
@@ -191,6 +194,18 @@ def writer_cases():
             yield f"recon json k={k} seed={seed}", digest(
                 recon_text.encode(), np.array([back[e] for e in spec.edges])
             )
+
+
+def svg_cases():
+    """``render_delta_map`` of seeded delta arrays at k=1, 2, 4, 7, in two styles."""
+    styles = {"default": RenderStyle(), "wide": RenderStyle(deadband=0, min_width=0.5, max_width=9)}
+    for k in (1, 2, 4, 7):
+        spec = build_lattice(k)
+        for seed in range(3):
+            dmap = DeltaMap(spec, np.random.default_rng(seed).normal(0.0, 0.02, spec.n_edges))
+            for name, style in styles.items():
+                svg = render_delta_map(dmap, style)
+                yield f"svg k={k} seed={seed} {name}", digest(svg.encode())
 
 
 def _document(schema: str, field: str, length, pairs) -> str:
@@ -266,6 +281,8 @@ def main() -> int:
     for name, value in forward_cases():
         print(name, value)
     for name, value in writer_cases():
+        print(name, value)
+    for name, value in svg_cases():
         print(name, value)
     for name, value in reader_cases():
         print(name, value)
