@@ -19,7 +19,7 @@ import io
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 from .errors import SpecMismatchError
 from .lattice import (
     ConductanceMap,
+    LatticeSpec,
     _kirchhoff_stack,
     _random_conductance_array,
     _reciprocal,
@@ -96,22 +97,17 @@ def _spread(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1)) if x.size > 1 else 0.0
 
 
-def _positive_int(value, what: str) -> int:
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def _check_grid(k_values: Sequence[int], trials: int, sigmas: Sequence[float] = (0.0,)) -> tuple:
     """Refuse a bad grid before any work; returns the lengths and ``trials`` as ``int``."""
-    trials = _positive_int(trials, "trials")
+    if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if not (len(k_values) and len(sigmas)):
         raise ValueError("a sweep needs at least one length and one sigma")
-    k_values = [_positive_int(k, "network length") for k in k_values]
+    k_values = [LatticeSpec(k).length for k in k_values]
     for s in sigmas:
         if not (math.isfinite(s) and s >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {s!r}")
-    return k_values, trials
+    return k_values, int(trials)
 
 
 def _draw_row(k: int, trials: int, seed: int, bounds: tuple[float, float] = (1.0, 2.0)):
@@ -255,16 +251,7 @@ def run_timing_profile(
     return SweepResult(rows=tuple(rows), config=config)
 
 
-CSV_HEADER = [
-    "param",
-    "trials",
-    "rmse_mean",
-    "rmse_std",
-    "rel_rmse_mean",
-    "time_ms_mean",
-    "time_ms_std",
-    "failures",
-]
+CSV_HEADER = [f.name for f in fields(SweepRow)]
 
 
 def sweep_to_csv(result: SweepResult) -> str:
@@ -274,17 +261,5 @@ def sweep_to_csv(result: SweepResult) -> str:
         buf.write(f"# {key}={value}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in result.rows:
-        writer.writerow(
-            [
-                row.param,
-                row.trials,
-                repr(row.rmse_mean),
-                repr(row.rmse_std),
-                repr(row.rel_rmse_mean),
-                repr(row.time_ms_mean),
-                repr(row.time_ms_std),
-                row.failures,
-            ]
-        )
+    writer.writerows(astuple(row) for row in result.rows)
     return buf.getvalue()

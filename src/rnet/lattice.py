@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -83,8 +84,10 @@ class LatticeSpec:
     length: int
 
     def __post_init__(self):
-        if isinstance(self.length, bool) or not isinstance(self.length, int) or self.length < 1:
-            raise ValueError(f"network length must be a positive integer, got {self.length!r}")
+        length = self.length
+        if isinstance(length, bool) or not isinstance(length, numbers.Integral) or length < 1:
+            raise ValueError(f"network length must be a positive integer, got {length!r}")
+        object.__setattr__(self, "length", int(length))
 
     @property
     def n_boundary(self) -> int:
@@ -203,20 +206,31 @@ def _as_number(value) -> float | None:
         return None
 
 
+def _check_catalog_array(spec: LatticeSpec, array: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless ``array`` holds ``spec.n_edges`` real numbers."""
+    if array.shape != (spec.n_edges,) or array.dtype.kind not in "iuf":
+        raise ValueError(
+            f"expected {spec.n_edges} {what} numbers in catalog order, "
+            f"got an array of shape {array.shape} and dtype {array.dtype}"
+        )
+
+
 class EdgeValues(Mapping):
     """Read-only ``{EdgeId: float}`` view of one value per edge.
 
-    The values live in ``array``, a float64 array in catalog order
-    (``spec.edges``) that this view marks read-only; every computation
-    reads the array.  A lookup by ``EdgeId`` finds the edge's slot, so no
-    per-edge dict is built.
+    The values live in ``array``, a read-only float64 copy, in catalog
+    order (``spec.edges``), of the ``spec.n_edges`` real numbers given;
+    every computation reads the array.  A lookup by ``EdgeId`` finds the
+    edge's slot, so no per-edge dict is built.
     """
 
     __slots__ = ("spec", "array")
 
-    def __init__(self, spec: LatticeSpec, array: np.ndarray):
-        array.setflags(write=False)
-        self.spec, self.array = spec, array
+    def __init__(self, spec: LatticeSpec, array):
+        array = np.asarray(array)
+        _check_catalog_array(spec, array, "per-edge")
+        self.spec, self.array = spec, array.astype(np.float64)
+        self.array.setflags(write=False)
 
     def __getitem__(self, edge: EdgeId) -> float:
         return float(self.array[_edge_slots(self.spec.length)[edge]])
@@ -230,48 +244,41 @@ class EdgeValues(Mapping):
     def __repr__(self) -> str:
         return f"EdgeValues(length={self.spec.length}, array={self.array!r})"
 
-    def __reduce__(self):  # a copy or an unpickled view marks its array read-only again
+    def __reduce__(self):  # a copy or an unpickled view holds its own read-only array
         return EdgeValues, (self.spec, self.array)
 
 
-def _edge_array(
-    spec: LatticeSpec, values, what: str, rule: str, accept: Callable | None = None
-) -> EdgeValues:
+def _edge_array(spec: LatticeSpec, values, what: str, rule: str, accept: Callable) -> EdgeValues:
     """Checked catalog-ordered view of per-edge ``values``.
 
     ``values`` is an ``{EdgeId: number}`` mapping over exactly the catalog of
-    ``spec``, or ``spec.n_edges`` numbers in catalog order as an array (which
-    is copied).  An ``EdgeValues`` of ``spec`` keeps its array.  Each value
-    must be a number (``bool`` is not one) that passes the vectorized
-    ``accept``, if given; ``rule`` says what that asks for.
+    ``spec``, or ``spec.n_edges`` numbers in catalog order as an array.  An
+    ``EdgeValues`` of ``spec`` is kept as it is.  Each value must be a number
+    (``bool`` is not one) that passes the vectorized ``accept``; ``rule``
+    says what that asks for.
 
     Raises:
         ValueError: for another edge set or a refused value, naming the edge.
     """
     if isinstance(values, EdgeValues) and values.spec == spec:
-        array = values.array
+        checked = values
     elif isinstance(values, np.ndarray):
-        if values.shape != (spec.n_edges,) or values.dtype.kind not in "iuf":
-            raise ValueError(
-                f"expected {spec.n_edges} {what} numbers in catalog order, "
-                f"got an array of shape {values.shape} and dtype {values.dtype}"
-            )
-        array = values.astype(np.float64)
+        _check_catalog_array(spec, values, what)
+        checked = EdgeValues(spec, values)
     else:
         _check_edge_set(spec, values.keys())
-        numbers = [_as_number(values[e]) for e in spec.edges]
-        if None in numbers:
-            e = spec.edges[numbers.index(None)]
+        parsed = [_as_number(values[e]) for e in spec.edges]
+        if None in parsed:
+            e = spec.edges[parsed.index(None)]
             raise ValueError(f"{what} of {e} must be {rule}, got {values[e]!r}")
-        array = np.array(numbers)
-    if accept is not None:
-        bad = ~accept(array)
-        if bad.any():
-            slot = int(np.argmax(bad))
-            e = spec.edges[slot]
-            shown = values[e] if isinstance(values, Mapping) else float(array[slot])
-            raise ValueError(f"{what} of {e} must be {rule}, got {shown!r}")
-    return EdgeValues(spec, array)
+        checked = EdgeValues(spec, parsed)
+    bad = ~accept(checked.array)
+    if bad.any():
+        slot = int(np.argmax(bad))
+        e = spec.edges[slot]
+        shown = values[e] if isinstance(values, Mapping) else float(checked.array[slot])
+        raise ValueError(f"{what} of {e} must be {rule}, got {shown!r}")
+    return checked
 
 
 def _reciprocal(g: np.ndarray) -> np.ndarray:
@@ -290,18 +297,15 @@ class ConductanceMap:
     ``values`` may be an ``{EdgeId: number}`` mapping or a catalog-ordered
     array; either way it is held as an ``EdgeValues`` view of a read-only
     float64 array (``values.array``).
-    ``check_values=False`` skips the positivity/finiteness check; it is
-    meant for reconstruction outputs, which under noisy input may contain
-    nonpositive estimates that are reported rather than clamped.
     """
 
     spec: LatticeSpec
     values: Mapping[EdgeId, float]
-    check_values: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        rule = ("positive and finite", _positive_finite) if self.check_values else ("a number",)
-        values = _edge_array(self.spec, self.values, "conductance", *rule)
+        values = _edge_array(
+            self.spec, self.values, "conductance", "positive and finite", _positive_finite
+        )
         object.__setattr__(self, "values", values)
 
     def resistances(self) -> EdgeValues:

@@ -33,9 +33,9 @@ import json
 import math
 import time
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,12 +52,9 @@ from .errors import (
 )
 from .lattice import (
     FACES,
-    ConductanceMap,
-    EdgeId,
     EdgeValues,
     LatticeSpec,
     ResponseMatrix,
-    _edge_array,
     _edge_names,
     _edge_values,
     _read_document,
@@ -588,19 +585,19 @@ def peel_layer(
 class ReconstructionResult:
     """Every edge conductance recovered from a response matrix.
 
-    ``resistances`` may be an ``{EdgeId: number}`` mapping or a
-    catalog-ordered array; it is held as an ``EdgeValues`` view of a
-    read-only float64 array, like ``conductances.values``.
+    Under noisy input an estimate may come out nonpositive; it is reported
+    rather than clamped.  ``resistances`` is derived from ``conductances``
+    (a zero conductance gives an infinite resistance).
     """
 
-    conductances: ConductanceMap
-    resistances: Mapping[EdgeId, float]
+    conductances: EdgeValues
+    resistances: EdgeValues = field(init=False)
     report: tuple[LayerDiagnostics, ...]
     elapsed_ms: float
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        resistances = _edge_array(self.spec, self.resistances, "resistance", "a number")
+        resistances = EdgeValues(self.spec, _reciprocal(self.conductances.array))
         object.__setattr__(self, "resistances", resistances)
 
     @property
@@ -741,11 +738,9 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
     if refusal is not None:
         raise refusal
 
-    conductances = ConductanceMap(spec, g[0], check_values=False)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return ReconstructionResult(
-        conductances=conductances,
-        resistances=_reciprocal(g[0]),
+        conductances=EdgeValues(spec, g[0]),
         report=tuple(report),
         elapsed_ms=elapsed_ms,
         warnings=tuple(notes),
@@ -772,7 +767,7 @@ def reconstruction_to_json(result: ReconstructionResult) -> str:
             {"id": name, "conductance": _json_number(g), "resistance": _json_number(r)}
             for name, g, r in zip(
                 _edge_names(spec.length),
-                result.conductances.values.array.tolist(),
+                result.conductances.array.tolist(),
                 result.resistances.array.tolist(),
             )
         ],

@@ -54,7 +54,7 @@ def test_criterion_1_round_trip_exactness():
             net = seeded_net(k, trial)
             rec = reconstruct_full(response_matrix(net), k)
             rel = max(
-                abs(rec.conductances.values[e] - net.values[e]) / net.values[e]
+                abs(rec.conductances[e] - net.values[e]) / net.values[e]
                 for e in spec.edges
             )
             rmse = rmse_metrics(net, rec).rmse
@@ -257,8 +257,8 @@ def test_criterion_6_scale_equivariance():
         worst_inv = max(
             worst_inv,
             max(
-                abs(scaled.conductances.values[e] - c * base.conductances.values[e])
-                / (c * base.conductances.values[e])
+                abs(scaled.conductances[e] - c * base.conductances[e])
+                / (c * base.conductances[e])
                 for e in net.spec.edges
             ),
         )
@@ -286,10 +286,10 @@ def test_criterion_6_quarter_turn_equivariance():
             worst_inv,
             max(
                 abs(
-                    rec_rot.conductances.values[rotate_edge(k, e)]
-                    - rec.conductances.values[e]
+                    rec_rot.conductances[rotate_edge(k, e)]
+                    - rec.conductances[e]
                 )
-                / rec.conductances.values[e]
+                / rec.conductances[e]
                 for e in net.spec.edges
             ),
         )
@@ -380,8 +380,8 @@ def test_criterion_7_edge_attribution():
         values = {e: 1.0 for e in spec.edges}
         values[probe] = 5.0
         rec = reconstruct_full(response_matrix(ConductanceMap(spec, values)), k)
-        got = rec.conductances.values[probe]
-        peak = max(spec.edges, key=lambda e: rec.conductances.values[e])
+        got = rec.conductances[probe]
+        peak = max(spec.edges, key=lambda e: rec.conductances[e])
         if not (abs(got - 5.0) <= 1e-6 and peak == probe):
             bad.append((k, str(probe), got))
     report(

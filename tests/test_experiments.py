@@ -23,7 +23,7 @@ from rnet.experiments import (
     sweep_to_csv,
 )
 from rnet.lattice import (
-    ConductanceMap,
+    EdgeValues,
     ResponseMatrix,
     build_lattice,
     random_conductances,
@@ -34,10 +34,9 @@ from rnet.reconstruct import ReconstructionResult, reconstruct_full
 
 
 def make_result(net, resistances):
-    conduct = {e: 1.0 / r for e, r in resistances.items()}
+    conduct = np.array([1.0 / resistances[e] for e in net.spec.edges])
     return ReconstructionResult(
-        conductances=ConductanceMap(net.spec, conduct, check_values=False),
-        resistances=resistances,
+        conductances=EdgeValues(net.spec, conduct),
         report=(),
         elapsed_ms=1.0,
     )

@@ -12,6 +12,7 @@ from rnet.errors import NetworkFormatError
 from rnet.lattice import (
     ConductanceMap,
     EdgeId,
+    EdgeValues,
     LatticeSpec,
     build_kirchhoff,
     build_lattice,
@@ -26,6 +27,7 @@ from rnet.lattice import (
     uniform_conductances,
 )
 from rnet.lattice import _kirchhoff_stack, _layer_face_local, _response_stack
+from rnet.reconstruct import ReconstructionResult
 
 from lattice_geometry import layer_boundary_node, rotate_boundary_index, rotate_edge, rotate_network
 
@@ -92,6 +94,12 @@ class TestTopology:
     def test_bool_length_rejected(self):
         with pytest.raises(ValueError, match="network length must be a positive integer"):
             LatticeSpec(True)
+
+    @pytest.mark.parametrize("k", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_length_stored_as_int(self, k):
+        spec = build_lattice(k)
+        assert type(spec.length) is int and spec == LatticeSpec(3)
+        assert spec.edges == LatticeSpec(3).edges
 
     def test_anchor_tables(self):
         spec = build_lattice(3)
@@ -348,6 +356,33 @@ class TestLayerGeometry:
             layer_length(3, -1)
 
 
+class TestEdgeValues:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.ones(3),
+            np.ones(13),
+            np.ones((1, 12)),
+            np.ones(12, dtype=bool),
+            np.ones(12, dtype=complex),
+            ["1.0"] * 12,
+            None,
+        ],
+    )
+    def test_array_of_another_shape_or_dtype_refused(self, a):
+        with pytest.raises(ValueError, match="expected 12 per-edge numbers in catalog order"):
+            EdgeValues(LatticeSpec(2), a)
+
+    def test_holds_a_read_only_float64_copy(self):
+        spec = LatticeSpec(2)
+        a = np.arange(spec.n_edges, dtype=np.float32)
+        values = EdgeValues(spec, a)
+        assert values.array.dtype == np.float64 and not values.array.flags.writeable
+        a[0] = 2.0  # the caller's array stays writable and its own
+        assert values[spec.edges[0]] == 0.0 and values[spec.edges[-1]] == spec.n_edges - 1
+        assert EdgeValues(spec, a.tolist()).array.tolist() == a.tolist()
+
+
 class TestConductanceMap:
     def test_missing_edge_rejected(self):
         spec = build_lattice(2)
@@ -400,20 +435,14 @@ class TestConductanceMap:
         with pytest.raises(ValueError, match=f"conductance of {spec.edges[5]} must be positive and finite, got -0.0"):
             ConductanceMap(spec, g)
 
-    def test_unchecked_mode_for_reconstruction_outputs(self):
-        spec = build_lattice(1)
-        values = {e: -1.0 for e in spec.edges}
-        net = ConductanceMap(spec, values, check_values=False)
-        assert net.values[EdgeId.spike(1)] == -1.0
-
     def test_zero_conductance_has_infinite_resistance(self):
+        # A network refuses a zero conductance; a reconstruction may estimate one.
         spec = build_lattice(1)
-        values = {e: 2.0 for e in spec.edges}
-        values[EdgeId.spike(1)] = -0.0
-        net = ConductanceMap(spec, values, check_values=False)
+        g = np.full(spec.n_edges, 2.0)
+        g[spec.edges.index(EdgeId.spike(1))] = -0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            resist = net.resistances()
+            resist = ReconstructionResult(EdgeValues(spec, g), report=(), elapsed_ms=0.0).resistances
         assert resist[EdgeId.spike(1)] == np.inf and resist[EdgeId.spike(2)] == 0.5
 
     def test_resistances(self):

@@ -15,6 +15,9 @@ from rnet.errors import (
 from rnet.lattice import (
     ConductanceMap,
     EdgeId,
+    EdgeValues,
+    _kirchhoff_stack,
+    _response_stack,
     build_lattice,
     layer_spike_edge,
     layer_tangential_edge,
@@ -26,6 +29,7 @@ from rnet.measure_sim import apply_elementwise_noise
 from rnet.reconstruct import (
     RESIDUAL_WARN,
     PeelExtraction,
+    ReconstructionResult,
     apply_edge_removal,
     apply_schedule,
     apply_spike_removal,
@@ -309,7 +313,7 @@ class TestPeel:
                 found[layer_tangential_edge(spec, layer, face, i)] = g
             if m > 2:
                 lam, _ = peel_layer(lam, ext)
-        full = reconstruct_full(response_matrix(net), k).conductances.values
+        full = reconstruct_full(response_matrix(net), k).conductances
         assert found.keys() == set(spec.edges)
         rings = np.array([found[e] for e in spec.edges])
         assert rings.tobytes() == np.array([full[e] for e in spec.edges]).tobytes()
@@ -367,10 +371,30 @@ class TestPeel:
 
 
 class TestReconstructFull:
+    def test_result_holds_per_edge_arrays(self):
+        result = reconstruct_full(random_lambda(3, 4)[1], 3)
+        assert isinstance(result.conductances, EdgeValues)
+        assert isinstance(result.resistances, EdgeValues)
+        assert result.resistances.array.tobytes() == (1.0 / result.conductances.array).tobytes()
+        with pytest.raises(TypeError, match="resistances"):
+            ReconstructionResult(
+                conductances=result.conductances,
+                resistances=result.resistances,
+                report=result.report,
+                elapsed_ms=result.elapsed_ms,
+            )
+
+    def test_numpy_integer_length_accepted(self):
+        lam = random_lambda(3, 4)[1]
+        result = reconstruct_full(lam, np.int64(3))
+        assert type(result.spec.length) is int and result.spec == build_lattice(3)
+        expected = reconstruct_full(lam, 3).conductances.array
+        assert result.conductances.array.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_uniform_network_exact(self, k):
         result = reconstruct_full(response_matrix(uniform_conductances(build_lattice(k))), k)
-        for e, g in result.conductances.values.items():
+        for e, g in result.conductances.items():
             assert g == pytest.approx(1.0, abs=1e-10)
         for e, r in result.resistances.items():
             assert r == pytest.approx(1.0, abs=1e-10)
@@ -380,7 +404,7 @@ class TestReconstructFull:
         net = random_conductances(build_lattice(k), np.random.default_rng(seed))
         result = reconstruct_full(response_matrix(net), k)
         for e in net.spec.edges:
-            assert result.conductances.values[e] == pytest.approx(net.values[e], rel=1e-8)
+            assert result.conductances[e] == pytest.approx(net.values[e], rel=1e-8)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_round_trip_wide_conductance_range(self, k):
@@ -389,7 +413,7 @@ class TestReconstructFull:
         net = ConductanceMap(spec, dict(zip(spec.edges, rng.uniform(0.5, 2.0, spec.n_edges))))
         result = reconstruct_full(response_matrix(net), k)
         for e in spec.edges:
-            assert result.conductances.values[e] == pytest.approx(net.values[e], rel=1e-8)
+            assert result.conductances[e] == pytest.approx(net.values[e], rel=1e-8)
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -399,7 +423,7 @@ class TestReconstructFull:
         net = ConductanceMap(spec, dict(zip(spec.edges, rng.uniform(0.5, 2.0, spec.n_edges))))
         result = reconstruct_full(response_matrix(net), k)
         for e in spec.edges:
-            assert result.conductances.values[e] == pytest.approx(net.values[e], rel=1e-8)
+            assert result.conductances[e] == pytest.approx(net.values[e], rel=1e-8)
 
     def test_single_distinctive_edge_lands_on_right_id(self):
         spec = build_lattice(4)
@@ -407,8 +431,8 @@ class TestReconstructFull:
         values[EdgeId.vertical(2, 3)] = 5.0
         net = ConductanceMap(spec, values)
         result = reconstruct_full(response_matrix(net), 4)
-        assert result.conductances.values[EdgeId.vertical(2, 3)] == pytest.approx(5.0, abs=1e-8)
-        others = [v for e, v in result.conductances.values.items() if e != EdgeId.vertical(2, 3)]
+        assert result.conductances[EdgeId.vertical(2, 3)] == pytest.approx(5.0, abs=1e-8)
+        others = [v for e, v in result.conductances.items() if e != EdgeId.vertical(2, 3)]
         assert max(others) < 1.5
 
     def test_scale_equivariance(self):
@@ -416,8 +440,8 @@ class TestReconstructFull:
         base = reconstruct_full(lam, 4)
         scaled = reconstruct_full(2.5 * lam, 4)
         for e in net.spec.edges:
-            assert scaled.conductances.values[e] == pytest.approx(
-                2.5 * base.conductances.values[e], rel=1e-9
+            assert scaled.conductances[e] == pytest.approx(
+                2.5 * base.conductances[e], rel=1e-9
             )
 
     def test_quarter_turn_equivariance(self):
@@ -427,8 +451,8 @@ class TestReconstructFull:
         rec = reconstruct_full(response_matrix(net), k)
         rec_rot = reconstruct_full(response_matrix(rotated), k)
         for e in net.spec.edges:
-            assert rec_rot.conductances.values[rotate_edge(k, e)] == pytest.approx(
-                rec.conductances.values[e], rel=1e-9
+            assert rec_rot.conductances[rotate_edge(k, e)] == pytest.approx(
+                rec.conductances[e], rel=1e-9
             )
 
     def test_failure_annotated_with_layer(self):
@@ -442,9 +466,9 @@ class TestReconstructFull:
         # j=4 is a deferred corner partner, removed by the additive edge
         # rule rather than the spike rule; it must be refused all the same.
         spec = build_lattice(5)
-        values = {e: 1.0 for e in spec.edges}
-        values[layer_spike_edge(spec, 1, j)] = -0.5
-        lam = response_matrix(ConductanceMap(spec, values, check_values=False))
+        g = np.ones(spec.n_edges)
+        g[spec.edges.index(layer_spike_edge(spec, 1, j))] = -0.5
+        lam = _response_stack(_kirchhoff_stack(g[None], 5), 5)[0]
         with pytest.raises(InvalidConductanceError) as err:
             reconstruct_full(lam, 5)
         assert "layer 1" in str(err.value)
@@ -484,9 +508,9 @@ def mixed_stack(k: int = 5):
         items.append(apply_elementwise_noise(lam, 3e-2, 100 + seed).entries)
     items.append(np.eye(4 * k))  # singular opposite blocks
     for j in (2, 4):  # a nonpositive ring-1 spike, at a spike-rule index and a corner partner
-        values = {e: 1.0 for e in spec.edges}
-        values[layer_spike_edge(spec, 1, j)] = -0.5
-        items.append(response_matrix(ConductanceMap(spec, values, check_values=False)).entries)
+        g = np.ones(spec.n_edges)
+        g[spec.edges.index(layer_spike_edge(spec, 1, j))] = -0.5
+        items.append(_response_stack(_kirchhoff_stack(g[None], k), k)[0])
     zero = random_lambda(k, 9)[1].copy()
     zero[0:k, k : 2 * k] = zero[k : 2 * k, 0:k] = 0.0  # face N's reduction is its own block,
     zero[0, 1] = zero[1, 0] = 0.0                      # whose first edge divisor is then zero
@@ -513,7 +537,7 @@ class TestPeelStack:
                 kinds.append(type(exc))
                 continue
             assert refusals[item] is None
-            expected = np.array([alone.conductances.values[e] for e in edges])
+            expected = np.array([alone.conductances[e] for e in edges])
             assert g[item].tobytes() == expected.tobytes()
             kinds.append(None)
         assert kinds[:3] == [None, None, None]

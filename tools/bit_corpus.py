@@ -78,7 +78,10 @@ def untimed_csv(result) -> bytes:
 
 
 def reconstruction_cases():
-    """``reconstruct_full`` on k=1..15 x seeds 0-3 x sigma 0, 1e-6, 1e-3; refusals included."""
+    """``reconstruct_full`` on k=1..15 x seeds 0-3 x sigma 0, 1e-6, 1e-3; refusals included.
+
+    A result is digested as its conductances in catalog order, then its resistances.
+    """
     for k in range(1, 16):
         spec = build_lattice(k)
         for seed in range(4):
@@ -92,7 +95,8 @@ def reconstruction_cases():
                 except RnetError as exc:
                     out = f"{type(exc).__name__}: {exc}".encode()
                 else:
-                    out = np.array([rec.conductances.values[e] for e in spec.edges])
+                    out = np.array([rec.conductances[e] for e in spec.edges])
+                    out = np.concatenate([out, rec.resistances.array])
                 yield f"recon k={k} seed={seed} sigma={sigma:g}", digest(lam.entries, out)
 
 
