@@ -725,7 +725,7 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
         note = _residual_note(residual[layer, 0], diag_scale[layer, 0])
         if note is not None:
             _warnings.warn(f"layer {layer}: {note}", RuntimeWarning, stacklevel=1)
-        m = k - 2 * layer
+        m = spec.length - 2 * layer
         diag = LayerDiagnostics(
             layer=layer,
             length=m,

@@ -388,6 +388,7 @@ class TestReconstructFull:
         lam = random_lambda(3, 4)[1]
         result = reconstruct_full(lam, np.int64(3))
         assert type(result.spec.length) is int and result.spec == build_lattice(3)
+        assert [type(d.length) for d in result.report] == [int, int]
         expected = reconstruct_full(lam, 3).conductances.array
         assert result.conductances.array.tobytes() == expected.tobytes()
 
