@@ -228,20 +228,24 @@ def run_timing_profile(
 
     Unlike the other sweeps, each trial is peeled on its own and timed on
     its own, so the time columns are the mean and spread of single
-    reconstructions.  One warm-up peel per length is discarded.
+    reconstructions.  Every length is drawn and given one discarded
+    warm-up peel first; the timed peels then take the lengths in turn,
+    trial by trial, so a change of host speed falls on every length alike.
     """
     k_values, trials = _check_grid(k_values, trials)
-    rows = []
-    for k in k_values:
-        g, lam = _draw_row(k, trials, seed)
+    draws = [_draw_row(k, trials, seed) for k in k_values]
+    for _, lam in draws:
         _peel_stack([lam[:1]])
-        ms, peels = np.empty(trials), []
-        for t in range(trials):
+    ms, peels = np.empty((len(draws), trials)), [[] for _ in draws]
+    for t in range(trials):
+        for i, (_, lam) in enumerate(draws):
             t0 = time.perf_counter()
-            peels.append(_peel_stack([lam[t : t + 1]])[0])
-            ms[t] = (time.perf_counter() - t0) * 1000.0
-        recon, refusals = np.concatenate([p[0] for p in peels]), [p[1][0] for p in peels]
-        rows.append(_row(str(k), g, (recon, refusals, None, ms), one_per_peel=True))
+            peels[i].append(_peel_stack([lam[t : t + 1]])[0])
+            ms[i, t] = (time.perf_counter() - t0) * 1000.0
+    rows = []
+    for k, (g, _), row_peels, row_ms in zip(k_values, draws, peels, ms):
+        recon, refusals = np.concatenate([p[0] for p in row_peels]), [p[1][0] for p in row_peels]
+        rows.append(_row(str(k), g, (recon, refusals, None, row_ms), one_per_peel=True))
     config = {
         "sweep": "timing",
         "k_values": ",".join(str(k) for k in k_values),

@@ -104,22 +104,7 @@ class LatticeSpec:
 
     def spike_anchor(self, b: int) -> tuple[int, int]:
         """Interior grid node the spike of boundary node ``b`` attaches to."""
-        k = self.length
-        if not 1 <= b <= 4 * k:
-            raise ValueError(f"boundary index {b} out of range 1..{4 * k}")
-        if b <= k:                      # north, left to right
-            return (1, b)
-        if b <= 2 * k:                  # east, top to bottom
-            return (b - k, k)
-        if b <= 3 * k:                  # south, right to left
-            return (k, k + 1 - (b - 2 * k))
-        return (k + 1 - (b - 3 * k), 1)  # west, bottom to top
-
-    def boundary_node_index(self, b: int) -> int:
-        """0-based position of boundary node ``b`` in Kirchhoff ordering."""
-        if not 1 <= b <= self.n_boundary:
-            raise ValueError(f"boundary index {b} out of range")
-        return b - 1
+        return tuple(_frame_row(self.length, b)[1].tolist())
 
     def interior_node_index(self, r: int, c: int) -> int:
         """0-based position of interior node ``(r, c)`` in Kirchhoff ordering."""
@@ -130,25 +115,10 @@ class LatticeSpec:
 
     def edge_endpoints(self, edge: EdgeId) -> tuple[int, int]:
         """Kirchhoff-ordering node indices of an edge's two endpoints."""
-        k = self.length
-        if edge.kind == "S":
-            r, c = self.spike_anchor(edge.i)
-            return (self.boundary_node_index(edge.i), self.interior_node_index(r, c))
-        if edge.kind == "H":
-            if not (1 <= edge.i <= k and 1 <= edge.j <= k - 1):
-                raise ValueError(f"edge {edge} out of range for length {k}")
-            return (
-                self.interior_node_index(edge.i, edge.j),
-                self.interior_node_index(edge.i, edge.j + 1),
-            )
-        if edge.kind == "V":
-            if not (1 <= edge.i <= k - 1 and 1 <= edge.j <= k):
-                raise ValueError(f"edge {edge} out of range for length {k}")
-            return (
-                self.interior_node_index(edge.i, edge.j),
-                self.interior_node_index(edge.i + 1, edge.j),
-            )
-        raise ValueError(f"unknown edge kind {edge.kind!r}")
+        slot = _edge_slots(self.length).get(edge)
+        if slot is None:
+            raise ValueError(f"edge {edge} out of range for length {self.length}")
+        return tuple(_edge_endpoints(self.length)[slot].tolist())
 
 
 @lru_cache(maxsize=None)
@@ -157,6 +127,60 @@ def _edge_catalog(k: int) -> tuple[EdgeId, ...]:
     edges += [EdgeId.horizontal(r, c) for r in range(1, k + 1) for c in range(1, k)]
     edges += [EdgeId.vertical(r, c) for r in range(1, k) for c in range(1, k + 1)]
     return tuple(edges)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)  # shared by every caller through a cache
+    return a
+
+
+@lru_cache(maxsize=None)
+def _frame(m: int) -> np.ndarray:
+    """Grid ``(row, col)`` of every boundary node of a length-``m`` network and of its anchor.
+
+    Row ``b - 1`` holds ``(node, anchor)`` for boundary node ``b``.  The
+    boundary nodes sit on the frame around the ``m``-by-``m`` grid (row 0
+    north, column ``m+1`` east, row ``m+1`` south, column 0 west), and each
+    anchor is the grid node next to its boundary node.  This is the one
+    place that knows the clockwise numbering; layer ``L`` of a length-``k``
+    peel is ``_frame(k - 2L)`` shifted by ``L``.
+    """
+    i = np.arange(1, m + 1)
+    rev, zero, far = m + 1 - i, np.zeros_like(i), np.full_like(i, m + 1)
+    nodes = np.concatenate([
+        np.stack([zero, i], axis=1),   # north, left to right
+        np.stack([i, far], axis=1),    # east, top to bottom
+        np.stack([far, rev], axis=1),  # south, right to left
+        np.stack([rev, zero], axis=1),  # west, bottom to top
+    ])
+    return _read_only(np.stack([nodes, np.clip(nodes, 1, m)], axis=1))
+
+
+def _frame_row(m: int, b: int) -> np.ndarray:
+    """``_frame(m)`` row of boundary node ``b``, refusing an index off the frame."""
+    if not 1 <= b <= 4 * m:
+        raise ValueError(f"boundary index {b} out of range 1..{4 * m}")
+    return _frame(m)[b - 1]
+
+
+@lru_cache(maxsize=None)
+def _edge_cells(k: int) -> np.ndarray:
+    """Grid ``(row, col)`` of both ends of every edge, shape ``(E, 2, 2)``, in catalog order."""
+    grid = np.stack(np.mgrid[1 : k + 1, 1 : k + 1], axis=-1)
+    horizontal = np.stack([grid[:, :-1], grid[:, 1:]], axis=2).reshape(-1, 2, 2)
+    vertical = np.stack([grid[:-1], grid[1:]], axis=2).reshape(-1, 2, 2)
+    return _read_only(np.concatenate([_frame(k), horizontal, vertical]))
+
+
+@lru_cache(maxsize=None)
+def _edge_endpoints(k: int) -> np.ndarray:
+    """Kirchhoff-ordering node indices of both ends of every edge, shape ``(E, 2)``."""
+    index = np.empty((k + 2, k + 2), dtype=np.intp)  # the frame's four corners stay unset
+    index[1:-1, 1:-1] = 4 * k + np.arange(k * k).reshape(k, k)
+    nodes = _frame(k)[:, 0]
+    index[nodes[:, 0], nodes[:, 1]] = np.arange(4 * k)
+    cells = _edge_cells(k)
+    return _read_only(index[cells[..., 0], cells[..., 1]])
 
 
 @lru_cache(maxsize=None)
@@ -367,15 +391,12 @@ def _kirchhoff_plan(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     so one ``np.add.at`` accumulates every entry in the same order as an
     edge-by-edge loop would.
     """
-    spec = LatticeSpec(k)
-    ends = np.array([spec.edge_endpoints(e) for e in spec.edges], dtype=np.intp)
+    ends = _edge_endpoints(k)
     u, v = ends[:, 0], ends[:, 1]
     rows = np.stack([u, v, u, v], axis=1).ravel()
     cols = np.stack([u, v, v, u], axis=1).ravel()
     signs = np.tile([1.0, 1.0, -1.0, -1.0], len(ends))
-    for a in (rows, cols, signs):
-        a.setflags(write=False)
-    return rows, cols, signs
+    return _read_only(rows), _read_only(cols), _read_only(signs)
 
 
 def _kirchhoff_stack(g: np.ndarray, k: int) -> np.ndarray:
@@ -469,6 +490,8 @@ def forward_boundary_solve(net: ConductanceMap, voltages) -> BoundaryResponse:
     u = np.asarray(voltages, dtype=np.float64)
     if u.shape != (spec.n_boundary,):
         raise ValueError(f"expected {spec.n_boundary} boundary voltages, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("boundary voltages must be finite")
     lam, steps = _eliminate_interior(build_kirchhoff(net)[None], spec.length)
     currents = matrixkit.symmetrize_average(lam[0]) @ u
     potentials = []
@@ -484,9 +507,10 @@ def forward_boundary_solve(net: ConductanceMap, voltages) -> BoundaryResponse:
 # Layer geometry for the peeling reconstruction
 #
 # Layer 0 is the physical boundary; peeling layer L exposes interior ring
-# L as the new boundary of a length k-2L sub-network.  The functions below
-# are the single source of truth mapping a layer's boundary indices to
-# physical nodes and edges.
+# L as the new boundary of a length k-2L sub-network.  Its boundary nodes
+# and anchors are those of ``_frame(k - 2L)`` shifted inward by L, so
+# ``_frame`` stays the single source of truth for the clockwise numbering,
+# and the functions below only read it.
 
 def layer_length(k: int, layer: int) -> int:
     m = k - 2 * layer
@@ -495,45 +519,27 @@ def layer_length(k: int, layer: int) -> int:
     return m
 
 
-def _layer_face_local(m: int, j: int) -> tuple[str, int]:
-    if not 1 <= j <= 4 * m:
-        raise ValueError(f"boundary index {j} out of range 1..{4 * m}")
-    face = FACES[(j - 1) // m]
-    return face, (j - 1) % m + 1
+def _grid_edge(p: np.ndarray, q: np.ndarray) -> EdgeId:
+    """Interior edge joining the adjacent grid nodes ``p`` and ``q``."""
+    (r, c), (r2, _) = sorted((tuple(p.tolist()), tuple(q.tolist())))
+    return EdgeId.horizontal(r, c) if r == r2 else EdgeId.vertical(r, c)
 
 
 def layer_spike_edge(spec: LatticeSpec, layer: int, j: int) -> EdgeId:
     """Physical edge acting as the spike of boundary index ``j`` at a layer."""
-    k = spec.length
-    m = layer_length(k, layer)
-    if layer == 0:
-        _layer_face_local(m, j)
-        return EdgeId.spike(j)
-    face, i = _layer_face_local(m, j)
-    if face == "N":
-        return EdgeId.vertical(layer, layer + i)
-    if face == "E":
-        return EdgeId.horizontal(layer + i, k - layer)
-    if face == "S":
-        return EdgeId.vertical(k - layer, k + 1 - layer - i)
-    return EdgeId.horizontal(k + 1 - layer - i, layer)
+    row = _frame_row(layer_length(spec.length, layer), j)
+    return EdgeId.spike(j) if layer == 0 else _grid_edge(*(row + layer))
 
 
 def layer_tangential_edge(spec: LatticeSpec, layer: int, face: str, i: int) -> EdgeId:
     """Physical edge between anchors ``i`` and ``i+1`` of a face at a layer."""
-    k = spec.length
-    m = layer_length(k, layer)
+    m = layer_length(spec.length, layer)
     if face not in FACES:
         raise ValueError(f"unknown face {face!r}")
     if not 1 <= i <= m - 1:
         raise ValueError(f"tangential index {i} out of range 1..{m - 1}")
-    if face == "N":
-        return EdgeId.horizontal(layer + 1, layer + i)
-    if face == "E":
-        return EdgeId.vertical(layer + i, k - layer)
-    if face == "S":
-        return EdgeId.horizontal(k - layer, k - layer - i)
-    return EdgeId.vertical(k - layer - i, layer + 1)
+    j = FACES.index(face) * m + i
+    return _grid_edge(*(_frame(m)[j - 1 : j + 1, 1] + layer))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ class ProtocolNoise:
     quant_step: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.snr, bool) or isinstance(self.quant_step, bool):
+            raise ValueError(f"snr and quant_step must be numbers, not bool: {self!r}")
         snr_to_sigma(self.snr)
         if not (math.isfinite(self.quant_step) and self.quant_step >= 0):
             raise ValueError(f"quant_step must be >= 0, got {self.quant_step!r}")

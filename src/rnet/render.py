@@ -17,8 +17,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SpecMismatchError
-from .lattice import EdgeId, EdgeValues, LatticeSpec, _edge_array, _edge_names, _edge_values
-from .lattice import _read_document
+from .lattice import EdgeId, EdgeValues, LatticeSpec, _edge_array, _edge_cells, _edge_names
+from .lattice import _edge_values, _read_document
 
 
 @dataclass(frozen=True)
@@ -113,38 +113,13 @@ def _mix(ramp, t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _node_xy(r: float, c: float) -> tuple[float, float]:
-    # Grid rows/cols 1..k; row 0 / col 0 / row k+1 / col k+1 hold boundary nodes.
-    return (_MARGIN + c * _CELL, _MARGIN + r * _CELL)
-
-
-def _edge_segment(spec: LatticeSpec, edge: EdgeId):
-    k = spec.length
-    if edge.kind == "S":
-        r, c = spec.spike_anchor(edge.i)
-        b = edge.i
-        if b <= k:
-            outer = (0, c)
-        elif b <= 2 * k:
-            outer = (r, k + 1)
-        elif b <= 3 * k:
-            outer = (k + 1, c)
-        else:
-            outer = (r, 0)
-        return _node_xy(*outer), _node_xy(r, c)
-    if edge.kind == "H":
-        return _node_xy(edge.i, edge.j), _node_xy(edge.i, edge.j + 1)
-    return _node_xy(edge.i, edge.j), _node_xy(edge.i + 1, edge.j)
-
-
 def render_delta_map(dmap: DeltaMap, style: RenderStyle = RenderStyle()) -> str:
     """Draw the lattice with stroke width and color following each delta.
 
     Every edge becomes exactly one ``<line>`` element carrying a
     ``data-edge`` attribute with its edge id.
     """
-    spec = dmap.spec
-    k = spec.length
+    k = dmap.spec.length
     span = _MARGIN * 2 + (k + 1) * _CELL
     height = span + _LEGEND_HEIGHT
     max_abs = dmap.max_abs()
@@ -156,7 +131,9 @@ def render_delta_map(dmap: DeltaMap, style: RenderStyle = RenderStyle()) -> str:
         f'viewBox="0 0 {span:.2f} {height:.2f}">',
         f'<rect x="0" y="0" width="{span:.2f}" height="{height:.2f}" fill="#ffffff"/>',
     ]
-    for edge, name, d in zip(spec.edges, _edge_names(k), dmap.delta.array.tolist()):
+    # (x, y) of both ends of every edge: column and row of the grid, boundary frame included.
+    ends = (_MARGIN + _edge_cells(k)[..., ::-1] * _CELL).tolist()
+    for name, d, ((x1, y1), (x2, y2)) in zip(_edge_names(k), dmap.delta.array.tolist(), ends):
         if max_abs <= style.deadband or abs(d) <= style.deadband:
             color = NEUTRAL_COLOR
             width = style.min_width
@@ -164,7 +141,6 @@ def render_delta_map(dmap: DeltaMap, style: RenderStyle = RenderStyle()) -> str:
             t = min(abs(d) / max_abs, 1.0)
             color = _mix(_POS_RAMP if d > 0 else _NEG_RAMP, t)
             width = style.min_width + (style.max_width - style.min_width) * t
-        (x1, y1), (x2, y2) = _edge_segment(spec, edge)
         lines.append(
             f'<line data-edge="{name}" x1="{x1:.2f}" y1="{y1:.2f}" '
             f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="{color}" '

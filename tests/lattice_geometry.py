@@ -4,7 +4,14 @@ The quarter-turn symmetry of the square network, and the physical node
 behind each boundary index of a peel layer's sub-network.
 """
 
-from rnet.lattice import ConductanceMap, EdgeId, LatticeSpec, _layer_face_local, layer_length
+from rnet.lattice import FACES, ConductanceMap, EdgeId, LatticeSpec, layer_length
+
+
+def layer_face_local(m: int, j: int) -> tuple[str, int]:
+    """Face and 1-based position along it of boundary index ``j`` of a length-``m`` network."""
+    if not 1 <= j <= 4 * m:
+        raise ValueError(f"boundary index {j} out of range 1..{4 * m}")
+    return FACES[(j - 1) // m], (j - 1) % m + 1
 
 
 def rotate_boundary_index(k: int, b: int) -> int:
@@ -37,9 +44,9 @@ def layer_boundary_node(spec: LatticeSpec, layer: int, j: int):
     k = spec.length
     m = layer_length(k, layer)
     if layer == 0:
-        _layer_face_local(m, j)
+        layer_face_local(m, j)
         return ("B", j)
-    face, i = _layer_face_local(m, j)
+    face, i = layer_face_local(m, j)
     if face == "N":
         return ("I", layer, layer + i)
     if face == "E":

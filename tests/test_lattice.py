@@ -26,17 +26,23 @@ from rnet.lattice import (
     response_matrix,
     uniform_conductances,
 )
-from rnet.lattice import _kirchhoff_stack, _layer_face_local, _response_stack
+from rnet.lattice import _kirchhoff_stack, _response_stack
 from rnet.reconstruct import ReconstructionResult
 
-from lattice_geometry import layer_boundary_node, rotate_boundary_index, rotate_edge, rotate_network
+from lattice_geometry import (
+    layer_boundary_node,
+    layer_face_local,
+    rotate_boundary_index,
+    rotate_edge,
+    rotate_network,
+)
 
 
 def layer_anchor(spec, layer: int, j: int) -> tuple[int, int]:
     """Interior node ``(r, c)`` the layer-``layer`` spike at boundary index ``j`` leads to."""
     k = spec.length
     m = layer_length(k, layer)
-    face, i = _layer_face_local(m, j)
+    face, i = layer_face_local(m, j)
     if face == "N":
         return (layer + 1, layer + i)
     if face == "E":
@@ -119,6 +125,13 @@ class TestTopology:
         corners = [(1, 1), (1, 5), (5, 5), (5, 1)]
         for corner in corners:
             assert anchors.count(corner) == 2
+
+    @pytest.mark.parametrize(
+        "edge", [EdgeId.spike(13), EdgeId.horizontal(3, 3), EdgeId.vertical(3, 1), EdgeId("Q", 1, 1)]
+    )
+    def test_edge_endpoints_off_the_catalog_refused(self, edge):
+        with pytest.raises(ValueError):
+            build_lattice(3).edge_endpoints(edge)
 
     def test_catalog_order(self):
         spec = build_lattice(2)
@@ -282,6 +295,14 @@ class TestForwardSolve:
         with pytest.raises(ValueError):
             forward_boundary_solve(net, np.ones(7))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_voltage_refused(self, bad):
+        net = random_conductances(build_lattice(3), np.random.default_rng(8))
+        u = np.ones(12)
+        u[4] = bad
+        with pytest.raises(ValueError, match="voltages must be finite"):
+            forward_boundary_solve(net, u)
+
     def test_matches_response_matrix_and_dense_solve(self):
         net = random_conductances(build_lattice(6), np.random.default_rng(12))
         u = np.random.default_rng(13).uniform(-1, 1, 24)
@@ -335,19 +356,23 @@ class TestLayerGeometry:
         assert layer_spike_edge(spec, 1, 1) == EdgeId.vertical(1, 2)
         assert layer_spike_edge(spec, 1, 3) == EdgeId.horizontal(2, 3)
 
-    def test_anchors_step_inward(self):
-        spec = build_lattice(5)
-        # layer-0 anchors live on interior ring 1, layer-1 anchors on ring 2
-        assert layer_anchor(spec, 0, 1) == (1, 1)
-        assert layer_anchor(spec, 0, 6) == (1, 5)
-        assert layer_anchor(spec, 0, 11) == (5, 5)
-        assert layer_anchor(spec, 0, 16) == (5, 1)
-        assert layer_boundary_node(spec, 1, 1) == ("I", 1, 2)
-        assert layer_anchor(spec, 1, 1) == (2, 2)
-        for layer, m in ((0, 5), (1, 3), (2, 1)):
-            for j in range(1, 4 * m + 1):
-                anchor = spec.interior_node_index(*layer_anchor(spec, layer, j))
-                assert anchor in spec.edge_endpoints(layer_spike_edge(spec, layer, j))
+    @pytest.mark.parametrize(
+        "k,layer", [(k, layer) for k in range(1, 10) for layer in range((k + 1) // 2)]
+    )
+    def test_anchors_step_inward(self, k, layer):
+        spec = build_lattice(k)
+        m = layer_length(k, layer)
+        lo, hi = layer + 1, k - layer  # interior ring layer+1 spans rows and columns lo..hi
+        # each face's first anchor is a corner of that ring, clockwise from the top left
+        corners = [layer_anchor(spec, layer, f * m + 1) for f in range(4)]
+        assert corners == [(lo, lo), (lo, hi), (hi, hi), (hi, lo)]
+        for j in range(1, 4 * m + 1):
+            anchor = layer_anchor(spec, layer, j)
+            assert lo <= min(anchor) <= max(anchor) <= hi and {lo, hi} & set(anchor)
+            node = layer_boundary_node(spec, layer, j)
+            outer = node[1] - 1 if node[0] == "B" else spec.interior_node_index(*node[1:])
+            ends = spec.edge_endpoints(layer_spike_edge(spec, layer, j))
+            assert sorted(ends) == sorted((outer, spec.interior_node_index(*anchor)))
 
     def test_out_of_range_layers(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,11 @@ class TestNoiseSpecGrammar:
         with pytest.raises(ValueError):
             parse_noise_spec(text)
 
+    @pytest.mark.parametrize("snr,quant_step", [(True, 0.0), (False, 0.0), (230.0, True), (230.0, False)])
+    def test_bool_snr_or_quant_step_refused(self, snr, quant_step):
+        with pytest.raises(ValueError, match="not bool"):
+            ProtocolNoise(snr, quant_step=quant_step)
+
     def test_subnormal_snr_names_the_spec(self):
         with pytest.raises(ValueError, match=r"^bad noise spec 'protocol:1e-320': .*finite reciprocal"):
             parse_noise_spec("protocol:1e-320")

@@ -12,8 +12,9 @@ Each line is ``<case> <digest>``, where the digest is the first 16 hex
 digits of a SHA-256 over the case's raw float64 bytes (or its refusal's
 type and message).  Sweep CSVs are digested with their wall-time columns
 blanked, and the reconstruction document with its elapsed time dropped.
-The script uses only the public ``rnet`` API, so it runs on any version
-that has it.  It takes a few seconds on a 2-core host.
+The script uses the public ``rnet`` API and ``lattice._kirchhoff_plan``,
+the table the forward model is assembled from, so it runs on any version
+that has them.  It takes a few seconds on a 2-core host.
 It is not a test: pytest does not collect it.
 """
 
@@ -52,6 +53,7 @@ from rnet import (
     simulate_measurement,
     uniform_conductances,
 )
+from rnet.lattice import _kirchhoff_plan, layer_length, layer_spike_edge, layer_tangential_edge
 from rnet.experiments import run_noise_sweep, run_size_sweep, run_timing_profile, sweep_to_csv
 from rnet.reconstruct import reconstruction_edges_from_json
 
@@ -168,6 +170,26 @@ def forward_cases():
             solved = forward_boundary_solve(net, rng.uniform(-1.0, 1.0, 4 * k))
             value = digest(solved.currents, solved.interior_potentials)
             yield f"forward solve k={k} seed={seed}", value
+
+
+def geometry_cases():
+    """Lattice geometry at k=1..16, one digest per length.
+
+    It covers the spike anchor of every boundary node, the endpoints of
+    every catalog edge, every layer's spike and tangential edges, and the
+    Kirchhoff plan's rows, columns and signs.
+    """
+    for k in range(1, 17):
+        spec = build_lattice(k)
+        anchors = [spec.spike_anchor(b) for b in range(1, 4 * k + 1)]
+        ends = [spec.edge_endpoints(e) for e in spec.edges]
+        layers = []
+        for layer in range((k + 1) // 2):
+            m = layer_length(k, layer)
+            layers += [layer_spike_edge(spec, layer, j) for j in range(1, 4 * m + 1)]
+            layers += [layer_tangential_edge(spec, layer, f, i) for f in "NESW" for i in range(1, m)]
+        text = repr((anchors, ends, [str(e) for e in layers])).encode()
+        yield f"geometry k={k}", digest(text, *_kirchhoff_plan(k))
 
 
 def writer_cases():
@@ -289,6 +311,8 @@ def main() -> int:
     for name, value in svg_cases():
         print(name, value)
     for name, value in reader_cases():
+        print(name, value)
+    for name, value in geometry_cases():
         print(name, value)
     return 0
 
