@@ -127,7 +127,9 @@ class TestTopology:
             assert anchors.count(corner) == 2
 
     @pytest.mark.parametrize(
-        "edge", [EdgeId.spike(13), EdgeId.horizontal(3, 3), EdgeId.vertical(3, 1), EdgeId("Q", 1, 1)]
+        "edge",
+        [EdgeId.spike(13), EdgeId.horizontal(3, 3), EdgeId.vertical(3, 1), EdgeId("Q", 1, 1)],
+        ids=str,
     )
     def test_edge_endpoints_off_the_catalog_refused(self, edge):
         with pytest.raises(ValueError):
@@ -370,6 +372,8 @@ class TestLayerGeometry:
             anchor = layer_anchor(spec, layer, j)
             assert lo <= min(anchor) <= max(anchor) <= hi and {lo, hi} & set(anchor)
             node = layer_boundary_node(spec, layer, j)
+            if node[0] == "I":  # on interior ring `layer`, one step outside the anchor's ring
+                assert {layer, k + 1 - layer} & set(node[1:])
             outer = node[1] - 1 if node[0] == "B" else spec.interior_node_index(*node[1:])
             ends = spec.edge_endpoints(layer_spike_edge(spec, layer, j))
             assert sorted(ends) == sorted((outer, spec.interior_node_index(*anchor)))

@@ -70,7 +70,9 @@ class TestNoiseSpecGrammar:
         with pytest.raises(ValueError):
             parse_noise_spec(text)
 
-    @pytest.mark.parametrize("snr,quant_step", [(True, 0.0), (False, 0.0), (230.0, True), (230.0, False)])
+    @pytest.mark.parametrize(
+        "snr,quant_step", [(True, 0.0), (False, 0.0), (230.0, True), (230.0, False)]
+    )
     def test_bool_snr_or_quant_step_refused(self, snr, quant_step):
         with pytest.raises(ValueError, match="not bool"):
             ProtocolNoise(snr, quant_step=quant_step)
