@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import SpecMismatchError
 from .lattice import (
+    _BOOLS,
     ConductanceMap,
     LatticeSpec,
     _kirchhoff_stack,
@@ -105,7 +106,7 @@ def _check_grid(k_values: Sequence[int], trials: int, sigmas: Sequence[float] = 
         raise ValueError("a sweep needs at least one length and one sigma")
     k_values = [LatticeSpec(k).length for k in k_values]
     for s in sigmas:
-        if not (math.isfinite(s) and s >= 0):
+        if isinstance(s, _BOOLS) or not (math.isfinite(s) and s >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {s!r}")
     return k_values, int(trials)
 

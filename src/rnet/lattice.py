@@ -129,6 +129,11 @@ def _edge_catalog(k: int) -> tuple[EdgeId, ...]:
     return tuple(edges)
 
 
+# A Python or numpy bool passes for a number in arithmetic, but is never a
+# length, a noise level, a bound or a style knob.
+_BOOLS = (bool, np.bool_)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)  # shared by every caller through a cache
     return a
@@ -143,7 +148,9 @@ def _frame(m: int) -> np.ndarray:
     north, column ``m+1`` east, row ``m+1`` south, column 0 west), and each
     anchor is the grid node next to its boundary node.  This is the one
     place that knows the clockwise numbering; layer ``L`` of a length-``k``
-    peel is ``_frame(k - 2L)`` shifted by ``L``.
+    peel is ``_frame(k - 2L)`` shifted by ``L``.  Besides the geometry
+    below, the peel's removal schedule reads it: two boundary nodes with
+    one anchor are a corner pair.
     """
     i = np.arange(1, m + 1)
     rev, zero, far = m + 1 - i, np.zeros_like(i), np.full_like(i, m + 1)
@@ -359,7 +366,9 @@ def _random_conductance_array(
     n_edges: int, rng: np.random.Generator, resistance_low: float, resistance_high: float
 ) -> np.ndarray:
     """Catalog-ordered conductances of one network: the draw behind every random network."""
-    if not 0 < resistance_low <= resistance_high < math.inf:
+    if isinstance(resistance_low, _BOOLS) or isinstance(resistance_high, _BOOLS) or not (
+        0 < resistance_low <= resistance_high < math.inf
+    ):
         raise ValueError("need 0 < resistance_low <= resistance_high < inf")
     return 1.0 / rng.uniform(resistance_low, resistance_high, size=n_edges)
 

@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from . import matrixkit
-from .lattice import ConductanceMap, ResponseMatrix, response_matrix
+from .lattice import _BOOLS, ConductanceMap, ResponseMatrix, response_matrix
 
 SOURCE_VOLTS = 5.0
 
@@ -47,7 +47,7 @@ class ProtocolNoise:
     quant_step: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.snr, bool) or isinstance(self.quant_step, bool):
+        if isinstance(self.snr, _BOOLS) or isinstance(self.quant_step, _BOOLS):
             raise ValueError(f"snr and quant_step must be numbers, not bool: {self!r}")
         snr_to_sigma(self.snr)
         if not (math.isfinite(self.quant_step) and self.quant_step >= 0):
@@ -61,7 +61,9 @@ NO_NOISE = NoNoise()
 
 def snr_to_sigma(snr: float) -> float:
     """Relative noise level implied by a mean-over-std ratio; its reciprocal must be finite."""
-    if not (math.isfinite(snr) and snr > 0 and math.isfinite(1.0 / float(snr))):
+    if isinstance(snr, _BOOLS) or not (
+        math.isfinite(snr) and snr > 0 and math.isfinite(1.0 / float(snr))
+    ):
         raise ValueError(f"snr must be finite and > 0 with a finite reciprocal, got {snr!r}")
     return 1.0 / snr
 
@@ -143,7 +145,7 @@ def _elementwise_noise(stack: np.ndarray, sigma: float, seeds) -> np.ndarray:
     the draws loop over items.  Raises ``ValueError`` for a negative or
     non-finite sigma and for a non-finite result.
     """
-    if not (math.isfinite(sigma) and sigma >= 0):
+    if isinstance(sigma, _BOOLS) or not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     factors = np.stack(
         [np.random.default_rng(s).normal(1.0, sigma, size=stack.shape[1:]) for s in seeds]

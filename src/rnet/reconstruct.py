@@ -12,7 +12,9 @@ One pass over the current boundary works in three moves:
    together as one block Schur update: one solve against
    ``lam_SS - diag(gamma)`` over those ``4m - 4`` indices.  Each corner's
    second spike and the tangential ring edges then come off by the
-   additive edge rule, all in one scatter-add.  The one-at-a-time rules
+   additive edge rule, all in one scatter-add.  The corner pairs, the
+   boundary indices that share one anchor, are read from
+   ``lattice._frame``.  The one-at-a-time rules
    (``apply_spike_removal``, ``apply_edge_removal``) remain as the
    reference that ``peel_layer(schedule=...)`` applies.
 3. Eight indices become structurally isolated; deleting their rows and
@@ -57,6 +59,7 @@ from .lattice import (
     ResponseMatrix,
     _edge_names,
     _edge_values,
+    _frame,
     _read_document,
     _reciprocal,
     layer_spike_edge,
@@ -310,33 +313,16 @@ class LayerDiagnostics:
     flags: tuple[str, ...] = ()
 
 
-def corner_index_pairs(m: int) -> list[tuple[int, int]]:
-    """Boundary index pairs sharing one corner anchor, (lower face, higher face)."""
-    return [(1, 4 * m), (m, m + 1), (2 * m, 2 * m + 1), (3 * m, 3 * m + 1)]
+def _shared_anchors(m: int) -> list[list[int]]:
+    """Boundary indices of a length-``m`` layer grouped by their anchor in ``_frame(m)``.
 
-
-def anchor_labels(m: int, corner_low_first: bool = True) -> dict[tuple[int, int], int]:
-    """Boundary index labeling each face-local anchor after spike removals.
-
-    Keyed by ``(face_index, local_position)``.  A corner anchor is shared
-    by two faces and ends up labeled by whichever of its two boundary
-    indices had its spike removed with the spike rule; ``corner_low_first``
-    picks the lower-face index (the canonical choice).
+    Each group is in index order and the groups go by their lowest index,
+    so for ``m >= 3`` the four corner pairs come lower index first.
     """
-    labels = {
-        (fi, i): fi * m + i for fi in range(4) for i in range(1, m + 1)
-    }
-    corners = corner_index_pairs(m)
-    picks = [low if corner_low_first else high for low, high in corners]
-    labels[(0, 1)] = picks[0]   # top-left anchor, shared by N and W
-    labels[(3, m)] = picks[0]
-    labels[(0, m)] = picks[1]   # top-right, N and E
-    labels[(1, 1)] = picks[1]
-    labels[(1, m)] = picks[2]   # bottom-right, E and S
-    labels[(2, 1)] = picks[2]
-    labels[(2, m)] = picks[3]   # bottom-left, S and W
-    labels[(3, 1)] = picks[3]
-    return labels
+    groups: dict[tuple[int, int], list[int]] = {}
+    for b, anchor in enumerate(_frame(m)[:, 1].tolist(), start=1):
+        groups.setdefault(tuple(anchor), []).append(b)
+    return list(groups.values())
 
 
 def removal_schedule(
@@ -347,42 +333,39 @@ def removal_schedule(
     Corner anchors carry two spikes; only the first removal at an anchor
     may use the spike rule (its far end must still be interior), so one
     spike per corner goes first and the partner is removed as an edge
-    between boundary indices afterwards.  Tangential ring edges follow,
-    addressed via the labels their anchors ended up with.
+    between boundary indices afterwards.  ``corner_low_first`` picks the
+    pair's lower index for the spike rule (the canonical choice).  Each
+    anchor is then labeled by the index whose spike went by the spike
+    rule, and the tangential ring edges follow, addressed via the labels
+    of their two anchors.
     """
     if m < 3:
         raise ValueError(f"peeling needs current length >= 3, got {m}")
-    corners = corner_index_pairs(m)
-    deferred = {(high if corner_low_first else low) for low, high in corners}
+    groups = _shared_anchors(m)
+    label = {b: group[0 if corner_low_first else -1] for group in groups for b in group}
     spikes, edges = extraction.spikes, extraction.edges
-    steps: list[tuple] = []
-    for b in range(1, 4 * m + 1):
-        if b not in deferred:
-            steps.append(("spike", b, float(spikes[b - 1])))
-    labels = anchor_labels(m, corner_low_first)
-    for low, high in corners:
-        kept, removed = (low, high) if corner_low_first else (high, low)
-        steps.append(("edge", removed, kept, float(spikes[removed - 1])))
-    for fi in range(4):
-        for j in range(1, m):
-            steps.append(
-                (
-                    "edge",
-                    labels[(fi, j)],
-                    labels[(fi, j + 1)],
-                    float(edges[fi * (m - 1) + j - 1]),
-                )
-            )
+    steps: list[tuple] = [
+        ("spike", b, float(spikes[b - 1])) for b in range(1, 4 * m + 1) if label[b] == b
+    ]
+    steps += [
+        ("edge", b, label[b], float(spikes[b - 1]))
+        for group in groups for b in group if label[b] != b
+    ]
+    steps += [
+        ("edge", label[f * m + j], label[f * m + j + 1], float(edges[f * (m - 1) + j - 1]))
+        for f in range(4) for j in range(1, m)
+    ]
     return steps
 
 
 def isolated_indices(m: int) -> tuple[int, ...]:
     """Boundary indices whose rows become zero after the layer's removals.
 
-    These are the four old boundary nodes whose spikes were removed as
-    edges, plus the four corner anchors, which lose all incident edges.
+    These are the indices whose anchor is shared: the four old boundary
+    nodes whose spikes were removed as edges, plus the four corner anchors,
+    which lose all incident edges.
     """
-    return tuple(sorted({1, m, m + 1, 2 * m, 2 * m + 1, 3 * m, 3 * m + 1, 4 * m}))
+    return tuple(sorted(b for group in _shared_anchors(m) if len(group) > 1 for b in group))
 
 
 def apply_schedule(lam: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SpecMismatchError
 from .lattice import EdgeId, EdgeValues, LatticeSpec, _edge_array, _edge_cells, _edge_names
-from .lattice import _edge_values, _read_document
+from .lattice import _BOOLS, _edge_values, _read_document
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,11 @@ class RenderStyle:
     deadband: float = 0.005
 
     def __post_init__(self):
-        if not 0 <= self.deadband < math.inf:
+        if isinstance(self.deadband, _BOOLS) or not 0 <= self.deadband < math.inf:
             raise ValueError("deadband must be finite and >= 0")
-        if not 0 < self.min_width <= self.max_width < math.inf:
+        if isinstance(self.min_width, _BOOLS) or isinstance(self.max_width, _BOOLS) or not (
+            0 < self.min_width <= self.max_width < math.inf
+        ):
             raise ValueError("need 0 < min_width <= max_width < inf")
 
 
