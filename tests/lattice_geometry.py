@@ -1,7 +1,8 @@
 """Lattice geometry that only the tests use.
 
 The quarter-turn symmetry of the square network, and the physical node
-behind each boundary index of a peel layer's sub-network.
+and the spike anchor behind each boundary index of a peel layer's
+sub-network.
 """
 
 from rnet.lattice import FACES, ConductanceMap, EdgeId, LatticeSpec, layer_length
@@ -33,6 +34,20 @@ def rotate_network(net: ConductanceMap) -> ConductanceMap:
     """Transport every conductance to its quarter-turn image edge."""
     k = net.spec.length
     return ConductanceMap(net.spec, {rotate_edge(k, e): g for e, g in net.values.items()})
+
+
+def layer_anchor(spec: LatticeSpec, layer: int, j: int) -> tuple[int, int]:
+    """Interior node ``(r, c)`` the layer-``layer`` spike at boundary index ``j`` leads to."""
+    k = spec.length
+    m = layer_length(k, layer)
+    face, i = layer_face_local(m, j)
+    if face == "N":
+        return (layer + 1, layer + i)
+    if face == "E":
+        return (layer + i, k - layer)
+    if face == "S":
+        return (k - layer, k + 1 - layer - i)
+    return (k + 1 - layer - i, layer + 1)
 
 
 def layer_boundary_node(spec: LatticeSpec, layer: int, j: int):

@@ -212,10 +212,13 @@ class TestNoiseSweep:
         with pytest.raises(ValueError):
             run_noise_sweep([3], [-0.1], trials=2)
 
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
-    def test_non_finite_sigma_rejected(self, sigma):
-        with pytest.raises(ValueError, match=f"^sigma must be finite and >= 0, got {sigma!r}$"):
-            run_noise_sweep([3], [sigma], trials=2)
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, True, np.True_])
+    def test_non_finite_sigma_rejected(self, monkeypatch, sigma):
+        solves = count_calls(monkeypatch, "_response_stack")
+        message = f"^sigma must be finite and >= 0, got {re.escape(repr(sigma))}$"
+        with pytest.raises(ValueError, match=message):
+            run_noise_sweep([3], [1e-3, sigma], trials=2)
+        assert solves == []
 
 
 class TestNoisyRow:
@@ -254,7 +257,7 @@ class TestNoisyRow:
                 for t, x in enumerate(lam):
                     apply_elementwise_noise(ResponseMatrix(x), 1e-3, _noise_seed(0, 3, 0, t))
 
-    @pytest.mark.parametrize("sigma", [-1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("sigma", [-1e-3, math.nan, math.inf, True, np.True_])
     def test_bad_sigma_refused(self, sigma):
         _, lam = experiments._draw_row(3, 2, 0)
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):

@@ -30,26 +30,12 @@ from rnet.lattice import _kirchhoff_stack, _response_stack
 from rnet.reconstruct import ReconstructionResult
 
 from lattice_geometry import (
+    layer_anchor,
     layer_boundary_node,
-    layer_face_local,
     rotate_boundary_index,
     rotate_edge,
     rotate_network,
 )
-
-
-def layer_anchor(spec, layer: int, j: int) -> tuple[int, int]:
-    """Interior node ``(r, c)`` the layer-``layer`` spike at boundary index ``j`` leads to."""
-    k = spec.length
-    m = layer_length(k, layer)
-    face, i = layer_face_local(m, j)
-    if face == "N":
-        return (layer + 1, layer + i)
-    if face == "E":
-        return (layer + i, k - layer)
-    if face == "S":
-        return (k - layer, k + 1 - layer - i)
-    return (k + 1 - layer - i, layer + 1)
 
 
 class TestEdgeId:
@@ -486,6 +472,11 @@ class TestConductanceMap:
 
     @pytest.mark.parametrize("low, high", [(1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)])
     def test_non_finite_resistance_bound_rejected(self, low, high):
+        with pytest.raises(ValueError, match="resistance_high < inf"):
+            random_conductances(build_lattice(2), np.random.default_rng(0), low, high)
+
+    @pytest.mark.parametrize("low, high", [(True, 2.0), (1.0, np.True_)])
+    def test_bool_resistance_bound_rejected(self, low, high):
         with pytest.raises(ValueError, match="resistance_high < inf"):
             random_conductances(build_lattice(2), np.random.default_rng(0), low, high)
 

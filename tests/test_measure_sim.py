@@ -44,6 +44,11 @@ class TestSnrToSigma:
         with pytest.raises(ValueError):
             snr_to_sigma(bad)
 
+    @pytest.mark.parametrize("bad", [True, np.True_])
+    def test_bool_refused(self, bad):
+        with pytest.raises(ValueError, match="^snr must be finite and > 0"):
+            snr_to_sigma(bad)
+
 
 class TestNoiseSpecGrammar:
     @pytest.mark.parametrize("text,model", [
@@ -70,9 +75,10 @@ class TestNoiseSpecGrammar:
         with pytest.raises(ValueError):
             parse_noise_spec(text)
 
-    @pytest.mark.parametrize(
-        "snr,quant_step", [(True, 0.0), (False, 0.0), (230.0, True), (230.0, False)]
-    )
+    @pytest.mark.parametrize("snr,quant_step", [
+        (True, 0.0), (False, 0.0), (230.0, True), (230.0, False),
+        (np.True_, 0.0), (230.0, np.True_), (230.0, np.False_),
+    ])
     def test_bool_snr_or_quant_step_refused(self, snr, quant_step):
         with pytest.raises(ValueError, match="not bool"):
             ProtocolNoise(snr, quant_step=quant_step)

@@ -43,7 +43,7 @@ from rnet.reconstruct import (
 )
 from rnet.reconstruct import _peel_stack, _tilde_stack
 
-from lattice_geometry import layer_boundary_node, rotate_edge, rotate_network
+from lattice_geometry import layer_anchor, layer_boundary_node, rotate_edge, rotate_network
 
 
 def unit_lambda(k: int) -> np.ndarray:
@@ -323,9 +323,30 @@ class TestPeel:
         with pytest.raises(DimensionMismatchError):
             peel_layer(lam, extract_boundary_conductances(unit_lambda(4)))
 
-    def test_isolated_rows_structural_set(self):
-        assert isolated_indices(4) == (1, 4, 5, 8, 9, 12, 13, 16)
-        assert isolated_indices(3) == (1, 3, 4, 6, 7, 9, 10, 12)
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_isolated_rows_structural_set(self, m):
+        got = isolated_indices(m)
+        assert got == tuple(sorted({1, m, m + 1, 2 * m, 2 * m + 1, 3 * m, 3 * m + 1, 4 * m}))
+        if m == 3:
+            assert got == (1, 3, 4, 6, 7, 9, 10, 12)
+        if m == 4:
+            assert got == (1, 4, 5, 8, 9, 12, 13, 16)
+
+    @pytest.mark.parametrize("low_first", [True, False])
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_corner_partners_share_an_anchor(self, m, low_first):
+        """The corner-partner edges join exactly the index pairs that one anchor carries."""
+        spec = build_lattice(m)
+        anchor = {b: layer_anchor(spec, 0, b) for b in range(1, 4 * m + 1)}
+        shared = {(a, b) for a in anchor for b in anchor if a < b and anchor[a] == anchor[b]}
+        slots = PeelExtraction(m, np.arange(4 * m), np.arange(4 * m, 8 * m - 4))
+        steps = removal_schedule(m, slots, corner_low_first=low_first)
+        partners = [s for s in steps if s[0] == "edge" and s[3] < 4 * m]  # a spike's slot
+        assert len(partners) == len(shared) == 4
+        assert {tuple(sorted(s[1:3])) for s in partners} == shared
+        for _, removed, kept, slot in partners:
+            assert slot == removed - 1  # the removed index's own spike
+            assert (kept < removed) == low_first
 
     def test_wrong_extraction_warns(self):
         net, lam = random_lambda(4, 15)

@@ -263,3 +263,12 @@ class TestRenderDeltaMap:
     def test_non_finite_style_rejected(self, knobs):
         with pytest.raises(ValueError):
             RenderStyle(**knobs)
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"deadband": True}, "deadband must be finite"),
+        ({"min_width": np.True_}, "min_width <= max_width"),
+        ({"min_width": 0.5, "max_width": True}, "min_width <= max_width"),
+    ])
+    def test_bool_style_rejected(self, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            RenderStyle(**knobs)

@@ -12,8 +12,9 @@ Each line is ``<case> <digest>``, where the digest is the first 16 hex
 digits of a SHA-256 over the case's raw float64 bytes (or its refusal's
 type and message).  Sweep CSVs are digested with their wall-time columns
 blanked, and the reconstruction document with its elapsed time dropped.
-The script uses the public ``rnet`` API and ``lattice._kirchhoff_plan``,
-the table the forward model is assembled from, so it runs on any version
+The script uses the public ``rnet`` API, ``lattice._kirchhoff_plan``,
+the table the forward model is assembled from, and ``reconstruct._ring_plan``,
+the index arrays the block peel is compiled to, so it runs on any version
 that has them.  It takes a few seconds on a 2-core host.
 It is not a test: pytest does not collect it.
 """
@@ -55,7 +56,13 @@ from rnet import (
 )
 from rnet.lattice import _kirchhoff_plan, layer_length, layer_spike_edge, layer_tangential_edge
 from rnet.experiments import run_noise_sweep, run_size_sweep, run_timing_profile, sweep_to_csv
-from rnet.reconstruct import reconstruction_edges_from_json
+from rnet.reconstruct import (
+    PeelExtraction,
+    _ring_plan,
+    isolated_indices,
+    reconstruction_edges_from_json,
+    removal_schedule,
+)
 
 TIME_COLUMNS = {"time_ms_mean", "time_ms_std"}
 SIZE_K = [4, 6, 8, 10, 12, 14]
@@ -192,6 +199,22 @@ def geometry_cases():
         yield f"geometry k={k}", digest(text, *_kirchhoff_plan(k))
 
 
+def schedule_cases():
+    """One peel layer's removal schedule at m=3..16, one digest per length.
+
+    It covers ``removal_schedule`` of an extraction whose every value is
+    its own slot, in both corner orientations, ``isolated_indices`` and
+    every array of the block peel's ``_ring_plan``.
+    """
+    for m in range(3, 17):
+        slots = PeelExtraction(m, np.arange(4 * m), np.arange(4 * m, 8 * m - 4))
+        steps = [removal_schedule(m, slots, corner_low_first=low) for low in (True, False)]
+        plan = vars(_ring_plan(m))
+        arrays = [value for value in plan.values() if isinstance(value, np.ndarray)]
+        text = repr((steps, isolated_indices(m), plan["n_spikes"])).encode()
+        yield f"schedule m={m}", digest(text, *arrays)
+
+
 def writer_cases():
     """Network, delta and reconstruction documents at k=1, 4, and the values read back.
 
@@ -313,6 +336,8 @@ def main() -> int:
     for name, value in reader_cases():
         print(name, value)
     for name, value in geometry_cases():
+        print(name, value)
+    for name, value in schedule_cases():
         print(name, value)
     return 0
 
