@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import SpecMismatchError
 from .lattice import (
-    _BOOLS,
     ConductanceMap,
     LatticeSpec,
     _kirchhoff_stack,
@@ -34,7 +33,7 @@ from .lattice import (
     _reciprocal,
     _response_stack,
 )
-from .measure_sim import _elementwise_noise
+from .measure_sim import _check_sigma, _elementwise_noise
 from .reconstruct import ReconstructionResult, _peel_stack
 
 # Seed-derivation domains (first spawn_key component).
@@ -98,6 +97,12 @@ def _spread(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1)) if x.size > 1 else 0.0
 
 
+def _exact_text(x: float) -> str:
+    """``x`` as ``:g`` text where that reads back as ``x``, else as ``repr(float(x))``."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
 def _check_grid(k_values: Sequence[int], trials: int, sigmas: Sequence[float] = (0.0,)) -> tuple:
     """Refuse a bad grid before any work; returns the lengths and ``trials`` as ``int``."""
     if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
@@ -106,8 +111,7 @@ def _check_grid(k_values: Sequence[int], trials: int, sigmas: Sequence[float] = 
         raise ValueError("a sweep needs at least one length and one sigma")
     k_values = [LatticeSpec(k).length for k in k_values]
     for s in sigmas:
-        if isinstance(s, _BOOLS) or not (math.isfinite(s) and s >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {s!r}")
+        _check_sigma(s)
     return k_values, int(trials)
 
 
@@ -182,7 +186,7 @@ def run_size_sweep(
         "sweep": "size",
         "k_values": ",".join(str(k) for k in k_values),
         "trials": str(trials),
-        "resistance_range": f"{resistance_low:g}:{resistance_high:g}",
+        "resistance_range": f"{_exact_text(resistance_low)}:{_exact_text(resistance_high)}",
         "seed": str(seed),
     }
     return SweepResult(rows=rows, config=config)
@@ -198,22 +202,23 @@ def run_noise_sweep(
     """Reconstruction error under multiplicative response-matrix noise.
 
     One row per ``(k, sigma)`` pair, with the param column written as
-    ``<k>:<sigma>``.  Each length's networks are drawn and forward-solved
-    once, as in the size sweep, and shared by all of its sigma rows: each
-    row corrupts a copy entrywise and symmetrizes it before reconstruction,
-    and a sigma=0 row peels the size sweep's own stack.  All rows are
-    peeled in one pass, so the sigma rows of one length share every ring.
-    Time columns and ``workers`` as in :func:`run_size_sweep`.
+    ``<k>:<sigma>`` in text that reads back as the sigma given.  Each
+    length's networks are drawn and forward-solved once, as in the size
+    sweep, and shared by all of its sigma rows: each row corrupts a copy
+    entrywise and symmetrizes it before reconstruction, and a sigma=0 row
+    peels the size sweep's own stack.  All rows are peeled in one pass, so
+    the sigma rows of one length share every ring.  Time columns and
+    ``workers`` as in :func:`run_size_sweep`.
     """
     k_values, trials = _check_grid(k_values, trials, sigmas)
-    rows = []
+    texts, rows = [_exact_text(s) for s in sigmas], []
     for k in k_values:
         g, lam = _draw_row(k, trials, seed)
-        rows += [(f"{k}:{s:g}", g, _noisy(lam, k, seed, s, i)) for i, s in enumerate(sigmas)]
+        rows += [(f"{k}:{texts[i]}", g, _noisy(lam, k, seed, s, i)) for i, s in enumerate(sigmas)]
     config = {
         "sweep": "noise",
         "k_values": ",".join(str(k) for k in k_values),
-        "sigmas": ",".join(f"{s:g}" for s in sigmas),
+        "sigmas": ",".join(texts),
         "trials": str(trials),
         "seed": str(seed),
     }

@@ -228,8 +228,8 @@ def build_lattice(k: int) -> LatticeSpec:
 
 
 def _as_number(value) -> float | None:
-    """``value`` as a float if it is an int or a float (``bool`` is neither) in float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """``value`` as a float if it is a real number (a ``bool`` is not one) in float range."""
+    if isinstance(value, _BOOLS) or not isinstance(value, numbers.Real):
         return None
     try:
         return float(value)
@@ -465,8 +465,7 @@ def _eliminate_interior(kirchhoff: np.ndarray, k: int):
 
 def _response_stack(kirchhoff: np.ndarray, k: int) -> np.ndarray:
     """Exactly symmetric response matrices of a ``(B, n, n)`` Kirchhoff stack."""
-    lam, _ = _eliminate_interior(kirchhoff, k)
-    return (lam + lam.swapaxes(1, 2)) / 2.0
+    return matrixkit._symmetrize(_eliminate_interior(kirchhoff, k)[0])
 
 
 def response_matrix(net: ConductanceMap) -> ResponseMatrix:
@@ -555,19 +554,20 @@ def layer_tangential_edge(spec: LatticeSpec, layer: int, face: str, i: int) -> E
 # Per-edge documents
 #
 # Every rnet JSON document names its schema and network length and gives
-# one value per edge.  The two readers below hold every rule the documents
-# share; each document's reader adds only its own value rule.
+# one value per edge.  The writer and the two readers below hold every rule
+# the documents share; each document adds only its own body and value rule.
 
 NETWORK_SCHEMA = "rnet-network/1"
 
 
+def _write_document(schema: str, spec: LatticeSpec, **body) -> str:
+    """An rnet JSON document: ``schema``, the network length, then ``body`` in order."""
+    return json.dumps({"schema": schema, "length": spec.length, **body}, indent=2) + "\n"
+
+
 def network_to_json(net: ConductanceMap) -> str:
-    doc = {
-        "schema": NETWORK_SCHEMA,
-        "length": net.spec.length,
-        "conductances": dict(zip(_edge_names(net.spec.length), net.values.array.tolist())),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    values = dict(zip(_edge_names(net.spec.length), net.values.array.tolist()))
+    return _write_document(NETWORK_SCHEMA, net.spec, conductances=values)
 
 
 def _reject_duplicate_keys(pairs):

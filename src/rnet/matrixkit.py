@@ -27,10 +27,14 @@ def _square(data) -> np.ndarray:
     return a
 
 
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """Average each matrix of a stack (or one matrix) with its transpose: exactly symmetric."""
+    return (a + a.swapaxes(-1, -2)) / 2.0
+
+
 def symmetrize_average(m) -> np.ndarray:
     """Average a matrix with its transpose; the result is exactly symmetric."""
-    m = _square(m)
-    return (m + m.T) / 2.0
+    return _symmetrize(_square(m))
 
 
 def matrix_to_csv(a) -> str:

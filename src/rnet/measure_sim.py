@@ -137,6 +137,12 @@ def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> Measur
     return MeasurementRecord(lam=ResponseMatrix(lam), raw_columns=raw)
 
 
+def _check_sigma(sigma: float) -> None:
+    """Refuse an elementwise noise level that is not a finite number >= 0 (a bool is not one)."""
+    if isinstance(sigma, _BOOLS) or not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+
+
 def _elementwise_noise(stack: np.ndarray, sigma: float, seeds) -> np.ndarray:
     """The elementwise noise rule on an ``(B, n, n)`` stack, one seed per item.
 
@@ -145,14 +151,11 @@ def _elementwise_noise(stack: np.ndarray, sigma: float, seeds) -> np.ndarray:
     the draws loop over items.  Raises ``ValueError`` for a negative or
     non-finite sigma and for a non-finite result.
     """
-    if isinstance(sigma, _BOOLS) or not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    _check_sigma(sigma)
     factors = np.stack(
         [np.random.default_rng(s).normal(1.0, sigma, size=stack.shape[1:]) for s in seeds]
     )
-    noisy = np.multiply(stack, factors, out=factors)
-    noisy = noisy + noisy.swapaxes(1, 2)
-    noisy /= 2.0
+    noisy = matrixkit._symmetrize(np.multiply(stack, factors, out=factors))
     if not np.isfinite(noisy).all():
         raise ValueError("matrix entries must be finite")
     return noisy

@@ -31,7 +31,6 @@ Boundary indices here are 1-based, as in the lattice; arrays are 0-based.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 import warnings as _warnings
@@ -57,11 +56,14 @@ from .lattice import (
     EdgeValues,
     LatticeSpec,
     ResponseMatrix,
+    _as_number,
     _edge_names,
     _edge_values,
     _frame,
+    _positive_finite,
     _read_document,
     _reciprocal,
+    _write_document,
     layer_spike_edge,
     layer_tangential_edge,
 )
@@ -196,7 +198,7 @@ def _extract_stack(tilde: np.ndarray):
 def _flag_texts(m: int, values: np.ndarray) -> tuple[str, ...]:
     """One layer's nonpositive or non-finite estimates, face by face, spikes first."""
     found = []
-    for p in np.flatnonzero(~(np.isfinite(values) & (values > 0))).tolist():
+    for p in np.flatnonzero(~_positive_finite(values)).tolist():
         if p < 4 * m:
             key, what = (p // m, 0, p), f"spike {p + 1}"
         else:
@@ -245,7 +247,8 @@ def apply_spike_removal(lam, node: int, gamma: float) -> np.ndarray:
     attached to, which has become a boundary node.
 
     Raises:
-        InvalidConductanceError: ``gamma`` must be positive and finite.
+        InvalidConductanceError: ``gamma`` must be a positive, finite real
+            number (a ``bool`` is not one).
         DegenerateDeltaError: the diagonal minus ``gamma`` is numerically
             zero, i.e. ``gamma`` is inconsistent with the matrix.
     """
@@ -255,11 +258,12 @@ def apply_spike_removal(lam, node: int, gamma: float) -> np.ndarray:
         raise DimensionMismatchError(f"expected square matrix, got {a.shape}")
     if not 1 <= node <= n:
         raise ValueError(f"boundary index {node} out of range 1..{n}")
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0):
+    g = _as_number(gamma)
+    if g is None or not _positive_finite(g):
         raise InvalidConductanceError(f"spike conductance must be positive, got {gamma!r}")
     i = node - 1
     diag = a[i, i]
-    delta = diag - gamma
+    delta = diag - g
     if abs(delta) <= DELTA_FLOOR * abs(diag):
         raise DegenerateDeltaError(
             f"node {node}: removing {gamma!r} from diagonal {diag!r} leaves delta {delta!r}"
@@ -269,9 +273,9 @@ def apply_spike_removal(lam, node: int, gamma: float) -> np.ndarray:
     col = a[others, i]
     out = np.empty_like(a)
     out[np.ix_(others, others)] = a[np.ix_(others, others)] - np.outer(col, row) / delta
-    out[i, others] = -(gamma / delta) * row
-    out[others, i] = -(gamma / delta) * col
-    out[i, i] = -gamma - gamma * gamma / delta
+    out[i, others] = -(g / delta) * row
+    out[others, i] = -(g / delta) * col
+    out[i, i] = -g - g * g / delta
     return out
 
 
@@ -279,7 +283,8 @@ def apply_edge_removal(lam, i: int, j: int, gamma_prime: float) -> np.ndarray:
     """Response matrix after deleting a resistor joining boundary nodes i, j.
 
     Purely additive: subtracts the conductance from both diagonals and adds
-    it to the two off-diagonal entries.
+    it to the two off-diagonal entries.  Any real ``gamma_prime`` is taken,
+    a nonpositive one included; a ``bool`` or a non-number raises ``ValueError``.
     """
     a = matrixkit.as_matrix(lam)
     n = a.shape[0]
@@ -290,8 +295,10 @@ def apply_edge_removal(lam, i: int, j: int, gamma_prime: float) -> np.ndarray:
     for idx in (i, j):
         if not 1 <= idx <= n:
             raise ValueError(f"boundary index {idx} out of range 1..{n}")
+    g = _as_number(gamma_prime)
+    if g is None:
+        raise ValueError(f"edge conductance must be a number, got {gamma_prime!r}")
     out = a.copy()
-    g = float(gamma_prime)
     out[i - 1, i - 1] -= g
     out[j - 1, j - 1] -= g
     out[i - 1, j - 1] += g
@@ -445,7 +452,7 @@ def _spike_refusals(spikes: np.ndarray) -> dict[int, RnetError]:
         i: InvalidConductanceError(
             f"spike {j + 1}: conductance must be positive, got {float(spikes[i, j])!r}"
         )
-        for i, j in _first_flags(~(np.isfinite(spikes) & (spikes > 0))).items()
+        for i, j in _first_flags(~_positive_finite(spikes)).items()
     }
 
 
@@ -743,10 +750,9 @@ def _json_number(x: float):
 
 def reconstruction_to_json(result: ReconstructionResult) -> str:
     spec = result.spec
-    doc = {
-        "schema": RECONSTRUCTION_SCHEMA,
-        "length": spec.length,
-        "edges": [
+    return _write_document(
+        RECONSTRUCTION_SCHEMA, spec,
+        edges=[
             {"id": name, "conductance": _json_number(g), "resistance": _json_number(r)}
             for name, g, r in zip(
                 _edge_names(spec.length),
@@ -754,7 +760,7 @@ def reconstruction_to_json(result: ReconstructionResult) -> str:
                 result.resistances.array.tolist(),
             )
         ],
-        "diagnostics": {
+        diagnostics={
             "layers": [
                 {
                     "layer": d.layer,
@@ -767,8 +773,7 @@ def reconstruction_to_json(result: ReconstructionResult) -> str:
             ],
             "elapsedMs": result.elapsed_ms,
         },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    )
 
 
 def reconstruction_edges_from_json(text: str) -> tuple[LatticeSpec, EdgeValues]:

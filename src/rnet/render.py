@@ -9,7 +9,6 @@ deadband draw as neutral gray.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import SpecMismatchError
 from .lattice import EdgeId, EdgeValues, LatticeSpec, _edge_array, _edge_cells, _edge_names
-from .lattice import _BOOLS, _edge_values, _read_document
+from .lattice import _BOOLS, _edge_values, _positive_finite, _read_document, _write_document
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ def compute_delta_map(baseline: EdgeValues, deformed: EdgeValues) -> DeltaMap:
             f"baseline has length {baseline.spec.length}, deformed {deformed.spec.length}"
         )
     r0, r1 = baseline.array, deformed.array
-    bad0 = ~(np.isfinite(r0) & (r0 > 0))
+    bad0 = ~_positive_finite(r0)
     bad = bad0 | ~np.isfinite(r1)
     if bad.any():
         slot = int(np.argmax(bad))
@@ -66,12 +65,8 @@ DELTA_SCHEMA = "rnet-delta/1"
 
 
 def delta_map_to_json(dmap: DeltaMap) -> str:
-    doc = {
-        "schema": DELTA_SCHEMA,
-        "length": dmap.spec.length,
-        "delta": dict(zip(_edge_names(dmap.spec.length), dmap.delta.array.tolist())),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    values = dict(zip(_edge_names(dmap.spec.length), dmap.delta.array.tolist()))
+    return _write_document(DELTA_SCHEMA, dmap.spec, delta=values)
 
 
 def delta_map_from_json(text: str) -> DeltaMap:

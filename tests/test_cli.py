@@ -9,9 +9,11 @@ from click.testing import CliRunner
 from rnet import matrixkit
 from rnet.cli import main
 from rnet.lattice import (
+    ConductanceMap,
     EdgeId,
     build_lattice,
     network_from_json,
+    network_to_json,
     response_matrix,
     uniform_conductances,
 )
@@ -65,13 +67,25 @@ class TestGenerate:
         result = runner.invoke(main, ["generate", "--length", "0"])
         assert result.exit_code == 2
 
-    def test_infinite_resistance_bound_is_invalid_input(self):
-        result = runner.invoke(main, ["generate", "--length", "2", "--resistance-range", "1:inf"])
+    @pytest.mark.parametrize("bounds", ["1:inf", "0:1", "3:1", "-1:2"])
+    def test_infinite_resistance_bound_is_invalid_input(self, bounds):
+        result = runner.invoke(main, ["generate", "--length", "2", "--resistance-range", bounds])
         assert result.exit_code == 2
-        assert "resistance_high < inf" in result.output
+        assert result.stderr == "error: need 0 < resistance_low <= resistance_high < inf\n"
 
 
 class TestForwardAndMeasure:
+    def test_singular_network_is_solver_failure(self, tmp_path):
+        # only H:1:1 conducts, so the interior cannot be eliminated
+        spec = build_lattice(2)
+        g = np.full(spec.n_edges, 1e-20)
+        g[spec.edges.index(EdgeId.horizontal(1, 1))] = 1.0
+        path = tmp_path / "singular.json"
+        path.write_text(network_to_json(ConductanceMap(spec, g)))
+        result = runner.invoke(main, ["forward", str(path)])
+        assert result.exit_code == 3
+        assert result.stderr == "error: interior row 1: Singular matrix\n"
+
     def test_forward_matches_library(self, net_file, tmp_path):
         out = tmp_path / "lam.csv"
         result = invoke("forward", net_file, "--out", out)
@@ -165,12 +179,13 @@ class TestSweeps:
         header = [line for line in lines if not line.startswith("#")][0]
         assert header == "param,trials,rmse_mean,rmse_std,rel_rmse_mean,time_ms_mean,time_ms_std,failures"
 
-    def test_infinite_resistance_bound_is_invalid_input(self, tmp_path):
+    @pytest.mark.parametrize("bounds", ["1:inf", "0:1", "3:1", "-1:2"])
+    def test_infinite_resistance_bound_is_invalid_input(self, tmp_path, bounds):
         out = tmp_path / "size.csv"
         result = runner.invoke(main, ["sweep", "size", "--k-range", "2:3", "--trials", "2",
-                                      "--resistance-range", "1:inf", "--out", str(out)])
+                                      "--resistance-range", bounds, "--out", str(out)])
         assert result.exit_code == 2
-        assert "resistance_high < inf" in result.output
+        assert result.stderr == "error: need 0 < resistance_low <= resistance_high < inf\n"
         assert not out.exists()
 
     def test_noise_sweep_requires_sigma_list(self):

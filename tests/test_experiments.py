@@ -91,6 +91,10 @@ class TestSizeSweep:
             assert row.rmse_mean < 1e-10
             assert row.time_ms_mean > 0
 
+    def test_resistance_range_echo_reads_back_exactly(self):
+        res = run_size_sweep([3], 2, 1.0000001, 2.0)
+        assert res.config["resistance_range"] == "1.0000001:2"
+
     def test_deterministic_csv_bytes_outside_time_columns(self):
         # Wall-clock columns cannot be bit-reproducible; everything else must be.
         a = sweep_to_csv(run_size_sweep([2, 3], trials=4, seed=11))
@@ -197,6 +201,14 @@ class TestNoiseSweep:
         assert [row.param for row in res.rows] == [
             "3:0.001", "3:0.01", "4:0.001", "4:0.01",
         ]
+
+    def test_labels_read_back_exactly(self):
+        sigmas = [1e-3, 1.0000001e-3, 10**-3.5]
+        res = run_noise_sweep([3], sigmas, trials=2, seed=0)
+        params = [row.param for row in res.rows]
+        assert params[0] == "3:0.001"  # the short text, where it reads back
+        assert [float(p.split(":")[1]) for p in params] == sigmas
+        assert [float(s) for s in res.config["sigmas"].split(",")] == sigmas
 
     def test_error_grows_with_sigma(self):
         res = run_noise_sweep([4], [1e-6, 1e-3], trials=10, seed=3)

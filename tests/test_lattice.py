@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rnet import lattice
-from rnet.errors import NetworkFormatError
+from rnet.errors import NetworkFormatError, SingularMatrixError
 from rnet.lattice import (
     ConductanceMap,
     EdgeId,
@@ -150,6 +150,14 @@ class TestKirchhoff:
 
 
 class TestResponseMatrix:
+    def test_singular_interior_raises(self):
+        # only H:1:1 conducts, so the interior cannot be eliminated
+        spec = build_lattice(2)
+        g = np.full(spec.n_edges, 1e-20)
+        g[spec.edges.index(EdgeId.horizontal(1, 1))] = 1.0
+        with pytest.raises(SingularMatrixError, match="^interior row 1: Singular matrix$"):
+            response_matrix(ConductanceMap(spec, g))
+
     def test_unit_star(self):
         lam = response_matrix(uniform_conductances(build_lattice(1)))
         expected = np.full((4, 4), -0.25)
@@ -423,6 +431,14 @@ class TestConductanceMap:
         spec = build_lattice(1)
         with pytest.raises(ValueError, match="must be positive and finite, got True"):
             ConductanceMap(spec, {e: True for e in spec.edges})
+
+    @pytest.mark.parametrize("value", [np.float32(1.5), np.int64(2)], ids=["float32", "int64"])
+    def test_numpy_real_value_accepted(self, value):
+        # a numpy real is a number, as in a float32 array; only a bool is not
+        spec = build_lattice(1)
+        net = ConductanceMap(spec, dict.fromkeys(spec.edges, value))
+        assert net.values.array.tolist() == [float(value)] * spec.n_edges
+        assert net == ConductanceMap(spec, np.full(spec.n_edges, value))
 
     def test_catalog_ordered_array(self):
         spec = build_lattice(3)

@@ -195,6 +195,18 @@ class TestSpikeRemoval:
         with pytest.raises(InvalidConductanceError):
             apply_spike_removal(lam, 1, -1.0)
 
+    @pytest.mark.parametrize(
+        "gamma, same", [(np.float32(0.5), 0.5), (np.int64(1), 1.0)], ids=["float32", "int64"]
+    )
+    def test_numpy_real_gamma_taken_as_the_float(self, gamma, same):
+        lam = random_lambda(2, 3)[1]
+        got, want = apply_spike_removal(lam, 5, gamma), apply_spike_removal(lam, 5, same)
+        assert got.tobytes() == want.tobytes()
+
+    def test_bool_gamma_rejected(self):
+        with pytest.raises(InvalidConductanceError, match="got True"):
+            apply_spike_removal(unit_lambda(1), 1, True)
+
     def test_degenerate_delta(self):
         lam = unit_lambda(1)
         with pytest.raises(DegenerateDeltaError):
@@ -237,6 +249,13 @@ class TestEdgeRemoval:
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError):
             apply_edge_removal(unit_lambda(1), 2, 2, 0.5)
+
+    @pytest.mark.parametrize(
+        "gamma", [True, np.True_, "0.5", None], ids=["True", "np.True_", "str", "None"]
+    )
+    def test_bool_or_non_number_rejected(self, gamma):
+        with pytest.raises(ValueError, match="edge conductance must be a number"):
+            apply_edge_removal(unit_lambda(1), 1, 2, gamma)
 
 
 def random_valid_schedule(m, extraction, rng):

@@ -12,8 +12,11 @@ Each line is ``<case> <digest>``, where the digest is the first 16 hex
 digits of a SHA-256 over the case's raw float64 bytes (or its refusal's
 type and message).  Sweep CSVs are digested with their wall-time columns
 blanked, and the reconstruction document with its elapsed time dropped.
-The script uses the public ``rnet`` API, ``lattice._kirchhoff_plan``,
-the table the forward model is assembled from, and ``reconstruct._ring_plan``,
+A failing ``rnet`` command is digested as its exit code and its stderr
+text.  The script uses the public ``rnet`` API and command line,
+``lattice._kirchhoff_plan``, the table the forward model is assembled
+from, ``lattice._kirchhoff_stack`` and ``_response_stack``, which build a
+network that no ``ConductanceMap`` accepts, and ``reconstruct._ring_plan``,
 the index arrays the block peel is compiled to, so it runs on any version
 that has them.  It takes a few seconds on a 2-core host.
 It is not a test: pytest does not collect it.
@@ -25,15 +28,20 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import sys
+import tempfile
 import warnings
 
 import numpy as np
+from click.testing import CliRunner
 
 from rnet import (
     NO_NOISE,
+    ConductanceMap,
     DeltaMap,
+    EdgeId,
     ProtocolNoise,
     RenderStyle,
     RnetError,
@@ -54,7 +62,16 @@ from rnet import (
     simulate_measurement,
     uniform_conductances,
 )
-from rnet.lattice import _kirchhoff_plan, layer_length, layer_spike_edge, layer_tangential_edge
+from rnet.cli import main as rnet_main
+from rnet.lattice import (
+    _kirchhoff_plan,
+    _kirchhoff_stack,
+    _response_stack,
+    layer_length,
+    layer_spike_edge,
+    layer_tangential_edge,
+)
+from rnet.matrixkit import matrix_to_csv
 from rnet.experiments import run_noise_sweep, run_size_sweep, run_timing_profile, sweep_to_csv
 from rnet.reconstruct import (
     PeelExtraction,
@@ -317,6 +334,55 @@ def reader_cases():
             yield f"reader {name} {label}", digest(out)
 
 
+def _cli_files(tmp: str) -> dict[str, str]:
+    """Input files of the failing commands, written into ``tmp``: name -> path."""
+    texts = {}
+    spec = build_lattice(2)
+    texts["net2.json"] = network_to_json(random_conductances(spec, np.random.default_rng(0)))
+    g = np.full(spec.n_edges, 1e-20)  # only H:1:1 conducts: the interior is singular
+    g[spec.edges.index(EdgeId.horizontal(1, 1))] = 1.0
+    texts["singular.json"] = network_to_json(ConductanceMap(spec, g))
+    for k in (2, 3):
+        net = random_conductances(build_lattice(k), np.random.default_rng(k))
+        texts[f"recon{k}.json"] = reconstruction_to_json(reconstruct_full(response_matrix(net), k))
+    texts["eye8.csv"] = matrix_to_csv(np.eye(8))
+    texts["eye6.csv"] = matrix_to_csv(np.eye(6))
+    spec = build_lattice(5)
+    for j in (2, 4):  # a nonpositive ring-1 spike, at a spike-rule index and a corner partner
+        g = np.ones(spec.n_edges)
+        g[spec.edges.index(layer_spike_edge(spec, 1, j))] = -0.5
+        texts[f"spike{j}.csv"] = matrix_to_csv(_response_stack(_kirchhoff_stack(g[None], 5), 5)[0])
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = os.path.join(tmp, name)
+        with open(paths[name], "w") as handle:
+            handle.write(text)
+    return paths
+
+
+def cli_cases():
+    """Exit code and stderr text of ``rnet`` commands that fail, one line per command."""
+    with tempfile.TemporaryDirectory() as tmp:
+        f = _cli_files(tmp)
+        cases = {
+            "generate range 0:1": ["generate", "--length", "2", "--resistance-range", "0:1"],
+            "generate range 5": ["generate", "--length", "2", "--resistance-range", "5"],
+            "generate length 0": ["generate", "--length", "0"],
+            "forward singular k=2": ["forward", f["singular.json"]],
+            "reconstruct eye(8)": ["reconstruct", f["eye8.csv"]],
+            "reconstruct eye(6)": ["reconstruct", f["eye6.csv"]],
+            "measure elementwise:0.01": ["measure", f["net2.json"], "--noise", "elementwise:0.01"],
+            "sweep noise sigma nan": ["sweep", "noise", "--k-list", "3", "--sigma-list", "nan"],
+            "delta k=2 k=3": ["delta", f["recon2.json"], f["recon3.json"]],
+            "reconstruct k=5 ring-1 spike 2 -0.5": ["reconstruct", f["spike2.csv"]],
+            "reconstruct k=5 ring-1 spike 4 -0.5": ["reconstruct", f["spike4.csv"]],
+        }
+        runner = CliRunner()
+        for name, args in cases.items():
+            result = runner.invoke(rnet_main, args)
+            yield f"cli {name}", digest(f"{result.exit_code}\n{result.stderr}".encode())
+
+
 def main() -> int:
     warnings.simplefilter("ignore", RuntimeWarning)
     for name, value in reconstruction_cases():
@@ -338,6 +404,8 @@ def main() -> int:
     for name, value in geometry_cases():
         print(name, value)
     for name, value in schedule_cases():
+        print(name, value)
+    for name, value in cli_cases():
         print(name, value)
     return 0
 
