@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import experiments, matrixkit, measure_sim, render
-from .errors import DimensionMismatchError, NetworkFormatError, RnetError, SpecMismatchError
+from .errors import DimensionMismatchError, RnetError, SpecMismatchError
 from .lattice import (
     ResponseMatrix,
     build_lattice,
@@ -36,7 +36,6 @@ EXIT_SOLVER_FAILURE = 3
 EXIT_IO_ERROR = 4
 
 _INPUT_ERRORS = (
-    NetworkFormatError,
     DimensionMismatchError,
     SpecMismatchError,
     ValueError,

@@ -45,8 +45,11 @@ class SpecMismatchError(RnetError):
     """Two objects refer to lattices of different lengths."""
 
 
-class NetworkFormatError(RnetError):
-    """A serialized document does not conform to its schema."""
+class NetworkFormatError(RnetError, ValueError):
+    """A document, or per-edge values from a document, mapping or array, break their rules.
+
+    A refused value reads ``<what> of <id> must be <rule>, got <value>``.
+    """
 
 
 def annotate_layer(exc: RnetError, layer: int) -> RnetError:

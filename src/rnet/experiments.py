@@ -103,10 +103,14 @@ def _exact_text(x: float) -> str:
     return text if float(text) == x else repr(float(x))
 
 
-def _check_grid(k_values: Sequence[int], trials: int, sigmas: Sequence[float] = (0.0,)) -> tuple:
-    """Refuse a bad grid before any work; returns the lengths and ``trials`` as ``int``."""
+def _check_grid(
+    k_values: Sequence[int], trials: int, seed: int, sigmas: Sequence[float] = (0.0,)
+) -> tuple:
+    """Refuse a bad grid or seed before any work; returns the lengths and ``trials`` as ``int``."""
     if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if not (len(k_values) and len(sigmas)):
         raise ValueError("a sweep needs at least one length and one sigma")
     k_values = [LatticeSpec(k).length for k in k_values]
@@ -179,7 +183,7 @@ def run_size_sweep(
     failures and excluded from the means; the sweep itself never aborts.
     ``workers`` is accepted for existing callers and ignored.
     """
-    k_values, trials = _check_grid(k_values, trials)
+    k_values, trials = _check_grid(k_values, trials, seed)
     bounds = (resistance_low, resistance_high)
     rows = _peel_rows([(str(k), *_draw_row(k, trials, seed, bounds)) for k in k_values])
     config = {
@@ -210,7 +214,7 @@ def run_noise_sweep(
     the sigma rows of one length share every ring.  Time columns and
     ``workers`` as in :func:`run_size_sweep`.
     """
-    k_values, trials = _check_grid(k_values, trials, sigmas)
+    k_values, trials = _check_grid(k_values, trials, seed, sigmas)
     texts, rows = [_exact_text(s) for s in sigmas], []
     for k in k_values:
         g, lam = _draw_row(k, trials, seed)
@@ -238,7 +242,7 @@ def run_timing_profile(
     warm-up peel first; the timed peels then take the lengths in turn,
     trial by trial, so a change of host speed falls on every length alike.
     """
-    k_values, trials = _check_grid(k_values, trials)
+    k_values, trials = _check_grid(k_values, trials, seed)
     draws = [_draw_row(k, trials, seed) for k in k_values]
     for _, lam in draws:
         _peel_stack([lam[:1]])

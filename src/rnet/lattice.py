@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -206,22 +206,6 @@ def _edge_slots(k: int) -> dict[EdgeId, int]:
     return {edge: slot for slot, edge in enumerate(_edge_catalog(k))}
 
 
-def _mismatch_text(k: int, missing: Iterable[str], extra: Iterable[str]) -> str:
-    return (
-        f"edge set mismatch for length {k}: "
-        f"missing {sorted(missing)[:4]}, extra {sorted(extra)[:4]}"
-    )
-
-
-def _check_edge_set(spec: LatticeSpec, edges) -> None:
-    """Raise ``ValueError`` unless ``edges`` is exactly the catalog of ``spec``."""
-    catalog = _edge_slots(spec.length).keys()
-    if edges != catalog:
-        given = set(edges)
-        missing, extra = (str(e) for e in catalog - given), (str(e) for e in given - catalog)
-        raise ValueError(_mismatch_text(spec.length, missing, extra))
-
-
 def build_lattice(k: int) -> LatticeSpec:
     """Topology of the length-``k`` network, with its ordered edge catalog."""
     return LatticeSpec(k)
@@ -279,36 +263,62 @@ class EdgeValues(Mapping):
         return EdgeValues, (self.spec, self.array)
 
 
-def _edge_array(spec: LatticeSpec, values, what: str, rule: str, accept: Callable) -> EdgeValues:
-    """Checked catalog-ordered view of per-edge ``values``.
+def _edge_values(spec: LatticeSpec, values, what: str, rule: str, accept: Callable) -> EdgeValues:
+    """Checked catalog-ordered view of per-edge ``values``, for every container and document.
 
-    ``values`` is an ``{EdgeId: number}`` mapping over exactly the catalog of
-    ``spec``, or ``spec.n_edges`` numbers in catalog order as an array.  An
-    ``EdgeValues`` of ``spec`` is kept as it is.  Each value must be a number
-    (``bool`` is not one) that passes the vectorized ``accept``; ``rule``
-    says what that asks for.
+    ``values`` is an ``EdgeValues`` of ``spec`` (kept as it is), ``spec.n_edges``
+    numbers in catalog order as an array, or a mapping or ``(key, value)``
+    pairs that name every edge once.  A key is an ``EdgeId`` or its id text;
+    an alias such as ``S:01`` names ``S:1``, so beside ``S:1`` it is a repeat.
+    Each value must be a number (``bool`` is not one) that passes the
+    vectorized ``accept``; ``rule`` says what that asks for.
 
     Raises:
-        ValueError: for another edge set or a refused value, naming the edge.
+        ValueError: for an array of another shape or dtype.
+        NetworkFormatError: for a malformed id, a repeated edge or another edge
+            set, and only then for a refused value, named as given.
     """
+    given = None
     if isinstance(values, EdgeValues) and values.spec == spec:
         checked = values
     elif isinstance(values, np.ndarray):
         _check_catalog_array(spec, values, what)
         checked = EdgeValues(spec, values)
     else:
-        _check_edge_set(spec, values.keys())
-        parsed = [_as_number(values[e]) for e in spec.edges]
-        if None in parsed:
-            e = spec.edges[parsed.index(None)]
-            raise ValueError(f"{what} of {e} must be {rule}, got {values[e]!r}")
-        checked = EdgeValues(spec, parsed)
-    bad = ~accept(checked.array)
-    if bad.any():
+        pairs = list(values.items() if isinstance(values, Mapping) else values)
+        # A canonical id finds its slot by name; any other key is parsed first.  Only one
+        # pair per edge builds the name table, so a huge declared length is refused by
+        # the count below without building its catalog.
+        names = _name_slots(spec.length) if len(pairs) == spec.n_edges else {}
+        by_slot = {}
+        for key, value in pairs:
+            name = str(key) if type(key) is EdgeId else key
+            slot = names.get(name) if type(name) is str else None
+            if slot is None:  # an alias, an edge outside the catalog, or a malformed id
+                name = str(EdgeId.parse(name))
+                slot = names.get(name, name)  # an edge outside the catalog stands for itself
+            if slot in by_slot:
+                raise NetworkFormatError(f"edge {name} named twice, the second time as {key!r}")
+            by_slot[slot] = (key, value)
+        if len(by_slot) != spec.n_edges:
+            raise NetworkFormatError(
+                f"{len(by_slot)} edges given for length {spec.length}, which has {spec.n_edges}"
+            )
+        extra = sorted(slot for slot in by_slot if type(slot) is str)
+        if extra:
+            missing = sorted(name for name, slot in names.items() if slot not in by_slot)
+            raise NetworkFormatError(
+                f"edge set mismatch for length {spec.length}: "
+                f"missing {missing[:4]}, extra {extra[:4]}"
+            )
+        given = [by_slot[slot] for slot in range(spec.n_edges)]
+        parsed = [_as_number(value) for _, value in given]
+        checked = None if None in parsed else EdgeValues(spec, parsed)
+    bad = [x is None for x in parsed] if checked is None else ~accept(checked.array)
+    if np.any(bad):
         slot = int(np.argmax(bad))
-        e = spec.edges[slot]
-        shown = values[e] if isinstance(values, Mapping) else float(checked.array[slot])
-        raise ValueError(f"{what} of {e} must be {rule}, got {shown!r}")
+        key, value = given[slot] if given else (spec.edges[slot], float(checked.array[slot]))
+        raise NetworkFormatError(f"{what} of {key} must be {rule}, got {value!r}")
     return checked
 
 
@@ -325,16 +335,16 @@ def _positive_finite(g):
 class ConductanceMap:
     """Positive conductance assigned to every edge of a lattice.
 
-    ``values`` may be an ``{EdgeId: number}`` mapping or a catalog-ordered
-    array; either way it is held as an ``EdgeValues`` view of a read-only
-    float64 array (``values.array``).
+    ``values`` may be a mapping keyed by ``EdgeId`` or id text, or a
+    catalog-ordered array; either way it is held as an ``EdgeValues`` view
+    of a read-only float64 array (``values.array``).
     """
 
     spec: LatticeSpec
     values: Mapping[EdgeId, float]
 
     def __post_init__(self):
-        values = _edge_array(
+        values = _edge_values(
             self.spec, self.values, "conductance", "positive and finite", _positive_finite
         )
         object.__setattr__(self, "values", values)
@@ -343,7 +353,10 @@ class ConductanceMap:
         return EdgeValues(self.spec, _reciprocal(self.values.array))
 
     def scaled(self, factor: float) -> "ConductanceMap":
-        return ConductanceMap(self.spec, factor * self.values.array)
+        number = _as_number(factor)
+        if number is None:
+            raise ValueError(f"scale factor must be a real number, got {factor!r}")
+        return ConductanceMap(self.spec, number * self.values.array)
 
 
 def uniform_conductances(spec: LatticeSpec, value: float = 1.0) -> ConductanceMap:
@@ -554,8 +567,8 @@ def layer_tangential_edge(spec: LatticeSpec, layer: int, face: str, i: int) -> E
 # Per-edge documents
 #
 # Every rnet JSON document names its schema and network length and gives
-# one value per edge.  The writer and the two readers below hold every rule
-# the documents share; each document adds only its own body and value rule.
+# one value per edge.  The writer and the reader below hold every rule the
+# documents share; its values are read by ``_edge_values``, as a mapping's are.
 
 NETWORK_SCHEMA = "rnet-network/1"
 
@@ -606,57 +619,6 @@ def _read_document(text: str, schema: str, field: str, kind: type):
     return LatticeSpec(length), body
 
 
-def _edge_values(
-    spec: LatticeSpec, pairs: Iterable[tuple], rule: str, accept: Callable[[float], bool]
-) -> EdgeValues:
-    """Catalog-ordered values from ``(id, value)`` pairs that name every edge once.
-
-    Each edge must be named exactly once: an alias such as ``S:01`` beside
-    ``S:1`` is a repeat.  Each value must be a number (``bool`` is not one)
-    that passes ``accept``; ``rule`` says what ``accept`` asks for.
-
-    Raises:
-        NetworkFormatError: for a malformed id, a repeated edge, a refused
-            value, or an edge set other than the catalog of ``spec``.
-    """
-    pairs = list(pairs)
-    # A canonical id finds its slot by name; any other id is parsed first.  Only
-    # a document with one pair per edge builds the name table, so a huge
-    # declared length is refused by the count below without building its catalog.
-    names = _name_slots(spec.length) if len(pairs) == spec.n_edges else {}
-    slots, numbers, seen = [], [], set()
-    for key, val in pairs:
-        name = key
-        slot = names.get(key) if type(key) is str else None
-        if slot is None:  # an alias, an edge outside the catalog, or a malformed id
-            name = str(EdgeId.parse(key))
-            slot = names.get(name, name)  # an edge outside the catalog stands for itself
-        number = _as_number(val)
-        if number is None or not accept(number):
-            raise NetworkFormatError(f"{key}: {rule}, got {val!r}")
-        if slot in seen:
-            raise NetworkFormatError(f"edge {name} named twice, the second time as {key!r}")
-        seen.add(slot)
-        slots.append(slot)
-        numbers.append(number)
-    if len(seen) != spec.n_edges:
-        raise NetworkFormatError(
-            f"{len(seen)} edges given for length {spec.length}, which has {spec.n_edges}"
-        )
-    extra = [s for s in slots if type(s) is str]
-    if extra:
-        missing = (name for name, slot in names.items() if slot not in seen)
-        raise NetworkFormatError(_mismatch_text(spec.length, missing, extra))
-    array = np.empty(spec.n_edges)
-    array[slots] = numbers
-    return EdgeValues(spec, array)
-
-
 def network_from_json(text: str) -> ConductanceMap:
     """Parse a network document, rejecting missing/extra/repeated edges."""
-    spec, raw = _read_document(text, NETWORK_SCHEMA, "conductances", dict)
-    values = _edge_values(
-        spec, raw.items(), "conductance must be positive and finite",
-        lambda g: math.isfinite(g) and g > 0,
-    )
-    return ConductanceMap(spec, values)
+    return ConductanceMap(*_read_document(text, NETWORK_SCHEMA, "conductances", dict))

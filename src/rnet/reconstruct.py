@@ -786,4 +786,6 @@ def reconstruction_edges_from_json(text: str) -> tuple[LatticeSpec, EdgeValues]:
         raise NetworkFormatError("malformed edge record")
     pairs = ((item["id"], item.get("resistance")) for item in records)
     pairs = ((key, math.nan if value is None else value) for key, value in pairs)
-    return spec, _edge_values(spec, pairs, "resistance must be a number or null", lambda r: True)
+    return spec, _edge_values(
+        spec, pairs, "resistance", "a number or null", lambda r: np.ones(r.shape, dtype=bool)
+    )

@@ -16,23 +16,24 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SpecMismatchError
-from .lattice import EdgeId, EdgeValues, LatticeSpec, _edge_array, _edge_cells, _edge_names
-from .lattice import _BOOLS, _edge_values, _positive_finite, _read_document, _write_document
+from .lattice import EdgeId, EdgeValues, LatticeSpec, _edge_cells, _edge_names, _edge_values
+from .lattice import _BOOLS, _positive_finite, _read_document, _write_document
 
 
 @dataclass(frozen=True)
 class DeltaMap:
     """Per-edge relative resistance change (R - R0) / R0.
 
-    ``delta`` may be an ``{EdgeId: number}`` mapping or a catalog-ordered
-    array; it is held as an ``EdgeValues`` view of a read-only float64 array.
+    ``delta`` may be a mapping keyed by ``EdgeId`` or id text, or a
+    catalog-ordered array; it is held as an ``EdgeValues`` view of a
+    read-only float64 array.
     """
 
     spec: LatticeSpec
     delta: Mapping[EdgeId, float]
 
     def __post_init__(self):
-        delta = _edge_array(self.spec, self.delta, "delta", "finite", np.isfinite)
+        delta = _edge_values(self.spec, self.delta, "delta", "finite", np.isfinite)
         object.__setattr__(self, "delta", delta)
 
     def max_abs(self) -> float:
@@ -70,8 +71,7 @@ def delta_map_to_json(dmap: DeltaMap) -> str:
 
 
 def delta_map_from_json(text: str) -> DeltaMap:
-    spec, raw = _read_document(text, DELTA_SCHEMA, "delta", dict)
-    return DeltaMap(spec, _edge_values(spec, raw.items(), "delta must be finite", math.isfinite))
+    return DeltaMap(*_read_document(text, DELTA_SCHEMA, "delta", dict))
 
 
 # Drawing geometry: grid pitch, outer margin and the legend strip below the lattice.

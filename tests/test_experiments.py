@@ -348,6 +348,20 @@ class TestSweepValidation:
         assert solves == []
 
     @pytest.mark.parametrize("sweep", SWEEPS)
+    @pytest.mark.parametrize("bad", [True, np.True_, np.False_, -1, 1.0, "1", None])
+    def test_bad_seed_named_before_any_work(self, monkeypatch, sweep, bad):
+        solves = count_calls(monkeypatch, "_response_stack")
+        seeded = {
+            "size": lambda: run_size_sweep([3], trials=2, seed=bad),
+            "noise": lambda: run_noise_sweep([3], [1e-3], trials=2, seed=bad),
+            "timing": lambda: run_timing_profile([3], trials=2, seed=bad),
+        }
+        message = f"^seed must be a nonnegative integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            seeded[sweep]()
+        assert solves == []
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
     def test_numpy_integer_trials_stored_as_int(self, sweep):
         numpy_result = self.SWEEP_TRIALS[sweep](np.int64(3))
         int_result = self.SWEEP_TRIALS[sweep](3)

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 import warnings
 from copy import deepcopy
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from rnet import lattice
-from rnet.errors import NetworkFormatError, SingularMatrixError
+from rnet.errors import NetworkFormatError, RnetError, SingularMatrixError
 from rnet.lattice import (
     ConductanceMap,
     EdgeId,
@@ -28,6 +29,7 @@ from rnet.lattice import (
 )
 from rnet.lattice import _kirchhoff_stack, _response_stack
 from rnet.reconstruct import ReconstructionResult
+from rnet.render import DeltaMap, delta_map_from_json
 
 from lattice_geometry import (
     layer_anchor,
@@ -481,6 +483,23 @@ class TestConductanceMap:
         net = uniform_conductances(spec, 4.0)
         assert net.resistances()[EdgeId.spike(2)] == 0.25
 
+    @pytest.mark.parametrize(
+        "factor", [True, np.True_, "2", None, 10**400, 1j],
+        ids=["bool", "numpy-bool", "text", "None", "int-beyond-float", "complex"],
+    )
+    def test_scaled_refuses_a_non_number(self, factor):
+        net = uniform_conductances(build_lattice(2))
+        message = f"^scale factor must be a real number, got {re.escape(repr(factor))}$"
+        with pytest.raises(ValueError, match=message):
+            net.scaled(factor)
+
+    def test_scaled_by_a_number(self):
+        net = random_conductances(build_lattice(2), np.random.default_rng(1))
+        for factor in (2, np.float32(0.5), np.int64(3)):
+            assert net.scaled(factor).values.array.tolist() == (float(factor) * net.values.array).tolist()
+        with pytest.raises(NetworkFormatError, match="conductance of S:1 must be positive and finite, got -2.0"):
+            uniform_conductances(net.spec).scaled(-2.0)
+
     def test_random_resistance_range(self):
         net = random_conductances(build_lattice(4), np.random.default_rng(0), 1.0, 2.0)
         resist = np.array(list(net.resistances().values()))
@@ -495,6 +514,74 @@ class TestConductanceMap:
     def test_bool_resistance_bound_rejected(self, low, high):
         with pytest.raises(ValueError, match="resistance_high < inf"):
             random_conductances(build_lattice(2), np.random.default_rng(0), low, high)
+
+
+class TestEdgeValueReader:
+    """Documents, mappings and arrays of per-edge values are read and refused one way."""
+
+    def test_every_refusal_is_a_value_error(self):
+        assert issubclass(NetworkFormatError, ValueError) and issubclass(NetworkFormatError, RnetError)
+
+    READERS = {
+        "network": (ConductanceMap, network_from_json, "conductances", "conductance", "positive and finite"),
+        "delta": (DeltaMap, delta_map_from_json, "delta", "delta", "finite"),
+    }
+
+    @pytest.mark.parametrize("kind, value", [
+        ("network", -1.0), ("network", 0.0), ("network", math.inf), ("network", math.nan),
+        ("delta", -math.inf), ("delta", math.nan),
+    ])
+    def test_same_refusal_from_document_mapping_and_array(self, kind, value):
+        container, read, field, what, rule = self.READERS[kind]
+        spec = build_lattice(2)
+        g = np.full(spec.n_edges, 0.5)
+        g[9] = value
+        doc = {"schema": f"rnet-{kind}/1", "length": 2, field: dict(zip(map(str, spec.edges), g.tolist()))}
+        message = f"^{what} of H:2:1 must be {rule}, got {value!r}$"
+        for reader in (
+            lambda: read(json.dumps(doc)),
+            lambda: container(spec, dict(zip(spec.edges, g.tolist()))),
+            lambda: container(spec, g),
+        ):
+            with pytest.raises(NetworkFormatError, match=message):
+                reader()
+
+    def test_id_text_keys_and_an_alias_accepted(self):
+        spec = build_lattice(2)
+        g = np.arange(1.0, spec.n_edges + 1)
+        by_text = dict(zip(map(str, spec.edges), g))
+        assert ConductanceMap(spec, by_text) == ConductanceMap(spec, g)
+        by_text["S:01"] = by_text.pop("S:1")
+        by_text[EdgeId.spike(2)] = by_text.pop("S:2")
+        assert ConductanceMap(spec, by_text) == ConductanceMap(spec, g)
+        assert DeltaMap(spec, by_text) == DeltaMap(spec, g)
+
+    @pytest.mark.parametrize("second", ["S:01", "S:1"])
+    def test_one_edge_named_twice_refused(self, second):
+        spec = build_lattice(2)
+        values = dict.fromkeys(spec.edges, 1.0)
+        values[second] = -1.0  # the edge set is refused before the value
+        with pytest.raises(NetworkFormatError, match=f"^edge S:1 named twice, the second time as '{second}'$"):
+            ConductanceMap(spec, values)
+
+    def test_missing_and_extra_edges_named(self):
+        spec = build_lattice(2)
+        values = dict.fromkeys(map(str, spec.edges[1:]), 1.0)
+        values[EdgeId.spike(99)] = 1.0
+        message = re.escape("edge set mismatch for length 2: missing ['S:1'], extra ['S:99']")
+        with pytest.raises(NetworkFormatError, match=message):
+            ConductanceMap(spec, values)
+
+    def test_huge_length_refused_without_building_its_catalog(self, monkeypatch):
+        catalog = lattice._edge_catalog
+
+        def small_catalog(k):
+            assert k <= 100, f"catalog of length {k} built"
+            return catalog(k)
+
+        monkeypatch.setattr(lattice, "_edge_catalog", small_catalog)
+        with pytest.raises(NetworkFormatError, match="1 edges given for length 1000000"):
+            ConductanceMap(LatticeSpec(10**6), {EdgeId.spike(1): 1.0})
 
 
 class TestNetworkJson:
@@ -557,7 +644,7 @@ class TestNetworkJson:
     def test_integer_beyond_float_range_rejected(self):
         doc = json.loads(network_to_json(uniform_conductances(build_lattice(1))))
         doc["conductances"]["S:1"] = 10**400
-        with pytest.raises(NetworkFormatError, match="S:1: conductance must be positive"):
+        with pytest.raises(NetworkFormatError, match="conductance of S:1 must be positive and finite, got 1000"):
             network_from_json(json.dumps(doc))
 
     def test_huge_length_refused_without_building_its_catalog(self, monkeypatch):

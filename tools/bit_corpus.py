@@ -33,6 +33,7 @@ import re
 import sys
 import tempfile
 import warnings
+from collections.abc import Hashable
 
 import numpy as np
 from click.testing import CliRunner
@@ -307,10 +308,21 @@ def _reader_edits(pairs):
     yield "list id", [(["S", 1], first[1])] + rest
 
 
-def reader_cases():
-    """What each per-edge reader makes of a fixed list of edited k=2 documents.
+def _values_digest(spec, read, source) -> str:
+    """Digest of the values ``read(source)`` gives in catalog order, or of its refusal's type and message."""
+    try:
+        values = read(source)
+    except Exception as exc:  # the refusal is the result
+        return digest(f"{type(exc).__name__}: {exc}".encode())
+    return digest(np.array([values[e] for e in spec.edges]))
 
-    The digest covers the values read in catalog order, or the refusal's type and message.
+
+def reader_cases():
+    """What each per-edge reader makes of a fixed list of edited k=2 documents and mappings.
+
+    Each edit is read as a document by the three document readers, then as
+    a mapping by ``ConductanceMap`` and ``DeltaMap``.  The digest covers the
+    values read in catalog order, or the refusal's type and message.
     """
     readers = {
         "network": ("rnet-network/1", "conductances", lambda t: network_from_json(t).values),
@@ -325,13 +337,17 @@ def reader_cases():
         for label, length, edited in edits:
             if field != "edges" and not all(isinstance(key, str) for key, _ in edited):
                 continue  # a JSON object's keys are strings
-            try:
-                values = read(_document(schema, field, length, edited))
-            except Exception as exc:  # the refusal is the result
-                out = f"{type(exc).__name__}: {exc}".encode()
-            else:
-                out = np.array([values[e] for e in spec.edges])
-            yield f"reader {name} {label}", digest(out)
+            text = _document(schema, field, length, edited)
+            yield f"reader {name} {label}", _values_digest(spec, read, text)
+    containers = {
+        "network": lambda m: ConductanceMap(spec, m).values,
+        "delta": lambda m: DeltaMap(spec, m).delta,
+    }
+    for name, read in containers.items():
+        for label, edited in _reader_edits(pairs):
+            if len({key for key, _ in edited if isinstance(key, Hashable)}) != len(edited):
+                continue  # a dict holds neither a repeated nor an unhashable key
+            yield f"reader mapping {name} {label}", _values_digest(spec, read, dict(edited))
 
 
 def _cli_files(tmp: str) -> dict[str, str]:
