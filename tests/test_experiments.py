@@ -329,6 +329,11 @@ class TestSweepValidation:
         "noise": lambda trials: run_noise_sweep([3], [1e-3], trials=trials, seed=1),
         "timing": lambda trials: run_timing_profile([3], trials=trials, seed=1),
     }
+    SWEEP_SEED = {
+        "size": lambda seed: run_size_sweep([3], trials=2, seed=seed),
+        "noise": lambda seed: run_noise_sweep([3], [1e-3], trials=2, seed=seed),
+        "timing": lambda seed: run_timing_profile([3], trials=2, seed=seed),
+    }
 
     @pytest.mark.parametrize("sweep", SWEEPS)
     @pytest.mark.parametrize("bad", [0, -3, 2.5, "4", True, np.int64(0), np.float64(4.0)])
@@ -351,14 +356,9 @@ class TestSweepValidation:
     @pytest.mark.parametrize("bad", [True, np.True_, np.False_, -1, 1.0, "1", None])
     def test_bad_seed_named_before_any_work(self, monkeypatch, sweep, bad):
         solves = count_calls(monkeypatch, "_response_stack")
-        seeded = {
-            "size": lambda: run_size_sweep([3], trials=2, seed=bad),
-            "noise": lambda: run_noise_sweep([3], [1e-3], trials=2, seed=bad),
-            "timing": lambda: run_timing_profile([3], trials=2, seed=bad),
-        }
         message = f"^seed must be a nonnegative integer, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=message):
-            seeded[sweep]()
+            self.SWEEP_SEED[sweep](bad)
         assert solves == []
 
     @pytest.mark.parametrize("sweep", SWEEPS)

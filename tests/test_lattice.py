@@ -519,13 +519,13 @@ class TestConductanceMap:
 class TestEdgeValueReader:
     """Documents, mappings and arrays of per-edge values are read and refused one way."""
 
-    def test_every_refusal_is_a_value_error(self):
-        assert issubclass(NetworkFormatError, ValueError) and issubclass(NetworkFormatError, RnetError)
-
     READERS = {
         "network": (ConductanceMap, network_from_json, "conductances", "conductance", "positive and finite"),
         "delta": (DeltaMap, delta_map_from_json, "delta", "delta", "finite"),
     }
+
+    def test_every_refusal_is_a_value_error(self):
+        assert issubclass(NetworkFormatError, ValueError) and issubclass(NetworkFormatError, RnetError)
 
     @pytest.mark.parametrize("kind, value", [
         ("network", -1.0), ("network", 0.0), ("network", math.inf), ("network", math.nan),
@@ -571,17 +571,6 @@ class TestEdgeValueReader:
         message = re.escape("edge set mismatch for length 2: missing ['S:1'], extra ['S:99']")
         with pytest.raises(NetworkFormatError, match=message):
             ConductanceMap(spec, values)
-
-    def test_huge_length_refused_without_building_its_catalog(self, monkeypatch):
-        catalog = lattice._edge_catalog
-
-        def small_catalog(k):
-            assert k <= 100, f"catalog of length {k} built"
-            return catalog(k)
-
-        monkeypatch.setattr(lattice, "_edge_catalog", small_catalog)
-        with pytest.raises(NetworkFormatError, match="1 edges given for length 1000000"):
-            ConductanceMap(LatticeSpec(10**6), {EdgeId.spike(1): 1.0})
 
 
 class TestNetworkJson:
@@ -658,3 +647,5 @@ class TestNetworkJson:
         doc = {"schema": "rnet-network/1", "length": 10**6, "conductances": {"S:1": 1.0}}
         with pytest.raises(NetworkFormatError, match="1 edges given for length 1000000"):
             network_from_json(json.dumps(doc))
+        with pytest.raises(NetworkFormatError, match="1 edges given for length 1000000"):
+            ConductanceMap(LatticeSpec(10**6), {EdgeId.spike(1): 1.0})
