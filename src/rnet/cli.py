@@ -1,8 +1,9 @@
 """Command-line front end for the resistor-network toolkit.
 
-Exit codes: 0 success, 2 invalid input, 3 solver failure on degenerate
-data, 4 I/O error.  All file output is written atomically (temp file in
-the target directory, then rename).
+Exit codes: 0 success, 2 invalid input (any ``ValueError``), 3 solver
+failure on degenerate data (any other ``RnetError``), 4 I/O error
+(``OSError``).  All file output is written atomically (temp file in the
+target directory, then rename).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import click
 import numpy as np
 
 from . import experiments, matrixkit, measure_sim, render
-from .errors import DimensionMismatchError, RnetError, SpecMismatchError
+from .errors import RnetError
 from .lattice import (
     ResponseMatrix,
     build_lattice,
@@ -35,31 +36,10 @@ EXIT_INVALID_INPUT = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_IO_ERROR = 4
 
-_INPUT_ERRORS = (
-    DimensionMismatchError,
-    SpecMismatchError,
-    ValueError,
-)
-
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def handles_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _INPUT_ERRORS as exc:
-            _fail(EXIT_INVALID_INPUT, str(exc))
-        except RnetError as exc:  # any other: the solver met degenerate data
-            _fail(EXIT_SOLVER_FAILURE, str(exc))
-        except OSError as exc:
-            _fail(EXIT_IO_ERROR, str(exc))
-
-    return wrapper
 
 
 def _write_output(path: str | None, text: str):
@@ -76,6 +56,32 @@ def _write_output(path: str | None, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _command(group, name=None):
+    """Register the decorated function, which returns one document, as a ``group`` command.
+
+    The command writes the document to ``--out`` (its last option) or to
+    stdout, and exits with the codes above.
+    """
+
+    def register(run):
+        @functools.wraps(run)
+        def command(out, **options):
+            try:
+                _write_output(out, run(**options))
+            except ValueError as exc:
+                _fail(EXIT_INVALID_INPUT, str(exc))
+            except RnetError as exc:
+                _fail(EXIT_SOLVER_FAILURE, str(exc))
+            except OSError as exc:
+                _fail(EXIT_IO_ERROR, str(exc))
+
+        registered = group.command(name)(command)
+        registered.params.append(click.Option(["--out"], type=click.Path(dir_okay=False)))
+        return registered
+
+    return register
 
 
 def _read_text(path: str) -> str:
@@ -110,57 +116,46 @@ def main():
     """Square resistor-network tomography toolkit."""
 
 
-@main.command()
+@_command(main)
 @click.option("--length", type=int, required=True, help="Network length k.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--resistance-range", default="1:2", show_default=True,
               help="Uniform resistance draw lo:hi.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@handles_errors
-def generate(length, seed, resistance_range, out):
+def generate(length, seed, resistance_range):
     """Generate a random network document (JSON)."""
     lo, hi = _parse_range_pair(resistance_range)
     spec = build_lattice(length)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    net = random_conductances(spec, rng, lo, hi)
-    _write_output(out, network_to_json(net))
+    return network_to_json(random_conductances(spec, rng, lo, hi))
 
 
-@main.command()
+@_command(main)
 @click.argument("network", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@handles_errors
-def forward(network, out):
+def forward(network):
     """Compute the exact response matrix of a network (CSV)."""
     net = network_from_json(_read_text(network))
-    lam = response_matrix(net)
-    _write_output(out, matrixkit.matrix_to_csv(lam.entries))
+    return matrixkit.matrix_to_csv(response_matrix(net).entries)
 
 
-@main.command()
+@_command(main)
 @click.argument("network", type=click.Path(exists=True, dir_okay=False))
 @click.option("--noise", default="none", show_default=True,
               help='Noise spec: "none" or "protocol:<snr>[:<quantStep>]".')
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@handles_errors
-def measure(network, noise, seed, out):
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+def measure(network, noise, seed):
     """Simulate a measurement of the response matrix (CSV, symmetrized)."""
     net = network_from_json(_read_text(network))
     model = measure_sim.parse_noise_spec(noise)
     record = measure_sim.simulate_measurement(net, model, seed)
-    _write_output(out, matrixkit.matrix_to_csv(record.lam.entries))
+    return matrixkit.matrix_to_csv(record.lam.entries)
 
 
-@main.command()
+@_command(main)
 @click.argument("lambda_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@handles_errors
-def reconstruct(lambda_csv, out):
+def reconstruct(lambda_csv):
     """Reconstruct every edge conductance from a response matrix (JSON)."""
     lam = ResponseMatrix(matrixkit.matrix_from_csv(_read_text(lambda_csv)))
-    result = reconstruct_full(lam, lam.length)
-    _write_output(out, reconstruction_to_json(result))
+    return reconstruction_to_json(reconstruct_full(lam, lam.length))
 
 
 @main.group()
@@ -168,73 +163,62 @@ def sweep():
     """Seeded accuracy / noise / timing studies (CSV)."""
 
 
-@sweep.command("size")
+@_command(sweep, "size")
 @click.option("--k-range", default="4:14:2", show_default=True, help="Lengths lo:hi[:step].")
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--resistance-range", default="1:2", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@handles_errors
-def sweep_size(k_range, trials, resistance_range, seed, out):
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+def sweep_size(k_range, trials, resistance_range, seed):
     """Reconstruction error and time vs. network length."""
     lo, hi = _parse_range_pair(resistance_range)
     result = experiments.run_size_sweep(_parse_k_range(k_range), trials, lo, hi, seed=seed)
-    _write_output(out, experiments.sweep_to_csv(result))
+    return experiments.sweep_to_csv(result)
 
 
-@sweep.command("noise")
+@_command(sweep, "noise")
 @click.option("--k-list", default="4,7,10", show_default=True, help="Lengths, comma-separated.")
 @click.option("--sigma-list", required=True, help="Noise levels, comma-separated.")
 @click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@handles_errors
-def sweep_noise(k_list, sigma_list, trials, seed, out):
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+def sweep_noise(k_list, sigma_list, trials, seed):
     """Reconstruction error vs. multiplicative noise level."""
     result = experiments.run_noise_sweep(
         _parse_list(k_list, int), _parse_list(sigma_list, float), trials, seed=seed
     )
-    _write_output(out, experiments.sweep_to_csv(result))
+    return experiments.sweep_to_csv(result)
 
 
-@sweep.command("timing")
+@_command(sweep, "timing")
 @click.option("--k-range", default="2:14", show_default=True, help="Lengths lo:hi[:step].")
 @click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@handles_errors
-def sweep_timing(k_range, trials, seed, out):
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+def sweep_timing(k_range, trials, seed):
     """Reconstruction wall time vs. network length (always sequential)."""
     result = experiments.run_timing_profile(_parse_k_range(k_range), trials, seed=seed)
-    _write_output(out, experiments.sweep_to_csv(result))
+    return experiments.sweep_to_csv(result)
 
 
-@main.command()
+@_command(main)
 @click.argument("baseline", type=click.Path(exists=True, dir_okay=False))
 @click.argument("deformed", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@handles_errors
-def delta(baseline, deformed, out):
+def delta(baseline, deformed):
     """Relative resistance change between two reconstructions (JSON)."""
     _, base = reconstruction_edges_from_json(_read_text(baseline))
     _, defo = reconstruction_edges_from_json(_read_text(deformed))
-    dmap = render.compute_delta_map(base, defo)
-    _write_output(out, render.delta_map_to_json(dmap))
+    return render.delta_map_to_json(render.compute_delta_map(base, defo))
 
 
-@main.command("render")
+@_command(main, "render")
 @click.argument("delta_json", type=click.Path(exists=True, dir_okay=False))
 @click.option("--deadband", type=float, default=0.005, show_default=True,
               help="Relative changes below this draw as neutral gray.")
 @click.option("--min-width", type=float, default=1.2, show_default=True)
 @click.option("--max-width", type=float, default=7.0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@handles_errors
-def render_cmd(delta_json, deadband, min_width, max_width, out):
+def render_cmd(delta_json, deadband, min_width, max_width):
     """Render a delta map as an SVG drawing of the lattice."""
     dmap = render.delta_map_from_json(_read_text(delta_json))
     style = render.RenderStyle(deadband=deadband, min_width=min_width, max_width=max_width)
-    _write_output(out, render.render_delta_map(dmap, style))
+    return render.render_delta_map(dmap, style)
 
 
 if __name__ == "__main__":

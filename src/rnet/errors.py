@@ -2,15 +2,15 @@
 
 
 class RnetError(Exception):
-    """Base class for all rnet errors."""
+    """Base class for all rnet errors; one that is not a ``ValueError`` is a solver failure."""
 
 
 class SingularMatrixError(RnetError):
     """A linear solve met an exactly singular matrix."""
 
 
-class DimensionMismatchError(RnetError):
-    """A matrix does not have the shape an operation requires."""
+class DimensionMismatchError(RnetError, ValueError):
+    """A matrix does not have the shape an operation requires (an input refusal)."""
 
 
 class SingularBlockError(RnetError):
@@ -41,8 +41,8 @@ class InvalidConductanceError(RnetError):
     """A conductance value violates an operation's positivity requirement."""
 
 
-class SpecMismatchError(RnetError):
-    """Two objects refer to lattices of different lengths."""
+class SpecMismatchError(RnetError, ValueError):
+    """Two objects refer to lattices of different lengths (an input refusal)."""
 
 
 class NetworkFormatError(RnetError, ValueError):

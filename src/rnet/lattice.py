@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import matrixkit
-from .errors import NetworkFormatError, SingularMatrixError
+from .errors import DimensionMismatchError, NetworkFormatError, SingularMatrixError
 
 FACES = ("N", "E", "S", "W")
 
@@ -266,22 +266,24 @@ class EdgeValues(Mapping):
 def _edge_values(spec: LatticeSpec, values, what: str, rule: str, accept: Callable) -> EdgeValues:
     """Checked catalog-ordered view of per-edge ``values``, for every container and document.
 
-    ``values`` is an ``EdgeValues`` of ``spec`` (kept as it is), ``spec.n_edges``
-    numbers in catalog order as an array, or a mapping or ``(key, value)``
-    pairs that name every edge once.  A key is an ``EdgeId`` or its id text;
-    an alias such as ``S:01`` names ``S:1``, so beside ``S:1`` it is a repeat.
-    Each value must be a number (``bool`` is not one) that passes the
-    vectorized ``accept``; ``rule`` says what that asks for.
+    ``values`` is an ``EdgeValues`` of ``spec`` (kept as it is), a mapping or an
+    iterator of ``(key, value)`` pairs that name every edge once, or else
+    ``spec.n_edges`` catalog-ordered numbers as an array-like.  A key is an
+    ``EdgeId`` or its id text; an alias such as ``S:01`` names ``S:1``, so
+    beside ``S:1`` it is a repeat.  Each value must be a number (``bool`` is
+    not one) that passes the vectorized ``accept``; ``rule`` says what that
+    asks for.
 
     Raises:
-        ValueError: for an array of another shape or dtype.
+        ValueError: for an array-like of another shape or dtype.
         NetworkFormatError: for a malformed id, a repeated edge or another edge
             set, and only then for a refused value, named as given.
     """
     given = None
     if isinstance(values, EdgeValues) and values.spec == spec:
         checked = values
-    elif isinstance(values, np.ndarray):
+    elif not isinstance(values, (Mapping, Iterator)):
+        values = np.asarray(values)
         _check_catalog_array(spec, values, what)
         checked = EdgeValues(spec, values)
     else:
@@ -394,15 +396,21 @@ class ResponseMatrix:
 
     def __post_init__(self):
         a = matrixkit.as_matrix(self.entries)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"response matrix must be square, got {a.shape}")
-        if a.shape[0] % 4 != 0 or a.shape[0] == 0:
-            raise ValueError(f"response matrix order must be a positive multiple of 4, got {a.shape[0]}")
+        n = a.shape[0]
+        if a.shape != (n, n) or n % 4 or n == 0:
+            raise DimensionMismatchError(
+                f"response matrix must be square, of order 4k with k >= 1, got shape {a.shape}"
+            )
         object.__setattr__(self, "entries", a)
 
     @property
     def length(self) -> int:
         return self.entries.shape[0] // 4
+
+
+def _response_entries(lam) -> np.ndarray:
+    """The entries of a ``ResponseMatrix``, or ``lam`` checked as one."""
+    return (lam if isinstance(lam, ResponseMatrix) else ResponseMatrix(lam)).entries
 
 
 @lru_cache(maxsize=None)
@@ -514,7 +522,7 @@ def forward_boundary_solve(net: ConductanceMap, voltages) -> BoundaryResponse:
     if not np.isfinite(u).all():
         raise ValueError("boundary voltages must be finite")
     lam, steps = _eliminate_interior(build_kirchhoff(net)[None], spec.length)
-    currents = matrixkit.symmetrize_average(lam[0]) @ u
+    currents = matrixkit._symmetrize(lam[0]) @ u
     potentials = []
     below = np.zeros(0)
     for x_b, x_c in reversed(steps):

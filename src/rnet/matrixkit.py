@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatchError
+
 
 def as_matrix(data) -> np.ndarray:
     """Copy ``data`` into a fresh 2-D float64 array, rejecting NaN/Inf."""
@@ -23,18 +25,13 @@ def as_matrix(data) -> np.ndarray:
 def _square(data) -> np.ndarray:
     a = as_matrix(data)
     if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
     """Average each matrix of a stack (or one matrix) with its transpose: exactly symmetric."""
     return (a + a.swapaxes(-1, -2)) / 2.0
-
-
-def symmetrize_average(m) -> np.ndarray:
-    """Average a matrix with its transpose; the result is exactly symmetric."""
-    return _symmetrize(_square(m))
 
 
 def matrix_to_csv(a) -> str:

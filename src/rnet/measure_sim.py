@@ -133,7 +133,7 @@ def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> Measur
     raw.T[off_diagonal] = readings.ravel()
     raw[np.diag_indices(n)] = -np.sum(readings, axis=1)
 
-    lam = matrixkit.symmetrize_average(raw / SOURCE_VOLTS)
+    lam = matrixkit._symmetrize(raw / SOURCE_VOLTS)
     return MeasurementRecord(lam=ResponseMatrix(lam), raw_columns=raw)
 
 

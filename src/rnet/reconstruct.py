@@ -63,6 +63,7 @@ from .lattice import (
     _positive_finite,
     _read_document,
     _reciprocal,
+    _response_entries,
     _write_document,
     layer_spike_edge,
     layer_tangential_edge,
@@ -218,17 +219,13 @@ def extract_boundary_conductances(lam) -> PeelExtraction:
     and W).
 
     Raises:
-        DimensionMismatchError: the order is not a positive multiple of 4.
+        DimensionMismatchError: ``lam`` does not have a response matrix's shape.
         SingularBlockError: an opposite-face block's condition number
             reaches ``1 / PIVOT_FLOOR``, which signals a
             degenerate or overly noisy response matrix.
         ZeroDivisorError: an edge divisor is too small.
     """
-    a = matrixkit.as_matrix(lam)
-    if a.shape[0] != a.shape[1] or a.shape[0] % 4 != 0 or a.shape[0] == 0:
-        raise DimensionMismatchError(
-            f"response matrix order must be a positive multiple of 4, got {a.shape}"
-        )
+    a = _response_entries(lam)
     m = a.shape[0] // 4
     with np.errstate(all="ignore"):  # a refusal below is the report, as in _peel_stack
         tilde, _, errors = _tilde_stack(a[None])
@@ -252,10 +249,8 @@ def apply_spike_removal(lam, node: int, gamma: float) -> np.ndarray:
         DegenerateDeltaError: the diagonal minus ``gamma`` is numerically
             zero, i.e. ``gamma`` is inconsistent with the matrix.
     """
-    a = matrixkit.as_matrix(lam)
+    a = matrixkit._square(lam)
     n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected square matrix, got {a.shape}")
     if not 1 <= node <= n:
         raise ValueError(f"boundary index {node} out of range 1..{n}")
     g = _as_number(gamma)
@@ -286,10 +281,8 @@ def apply_edge_removal(lam, i: int, j: int, gamma_prime: float) -> np.ndarray:
     it to the two off-diagonal entries.  Any real ``gamma_prime`` is taken,
     a nonpositive one included; a ``bool`` or a non-number raises ``ValueError``.
     """
-    a = matrixkit.as_matrix(lam)
+    a = matrixkit._square(lam)
     n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected square matrix, got {a.shape}")
     if i == j:
         raise ValueError("edge endpoints must differ")
     for idx in (i, j):
@@ -541,12 +534,12 @@ def peel_layer(
     are merely small.  A large residual warns and proceeds.
 
     Raises:
-        DimensionMismatchError: ``lam`` is not of order ``4 * extraction.length``.
+        DimensionMismatchError: ``lam`` is not a response matrix of order ``4 * extraction.length``.
         InvalidConductanceError: any of the layer's spikes is nonpositive
             or not finite, whichever rule would remove it.
         DegenerateDeltaError: the spikes are inconsistent with the matrix.
     """
-    a, m = matrixkit.as_matrix(lam), extraction.length
+    a, m = _response_entries(lam), extraction.length
     if a.shape != (4 * m, 4 * m):
         raise DimensionMismatchError(f"extraction is for length {m}, matrix has shape {a.shape}")
     if m < 3:
@@ -694,7 +687,7 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
     layers peeled before it.
     """
     t0 = time.perf_counter()
-    entries = lam.entries if isinstance(lam, ResponseMatrix) else matrixkit.as_matrix(lam)
+    entries = _response_entries(lam)
     if entries.shape != (4 * k, 4 * k):
         raise DimensionMismatchError(
             f"expected a {4 * k}x{4 * k} response matrix for length {k}, got {entries.shape}"

@@ -361,3 +361,9 @@ class TestOutputHandling:
         result = runner.invoke(main, args + removed.split())
         assert result.exit_code == 2
         assert re.search(rf"no such option\W+{removed.split()[0]}\b", result.output, re.I)
+
+    @pytest.mark.parametrize("command", ["generate --length 2", "measure {net}"])
+    def test_negative_seed_names_option(self, net_file, command):
+        result = runner.invoke(main, command.format(net=net_file).split() + ["--seed", "-1"])
+        assert result.exit_code == 2
+        assert "'--seed'" in result.stderr

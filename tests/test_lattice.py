@@ -456,6 +456,12 @@ class TestConductanceMap:
         for copy in (pickle.loads(pickle.dumps(net)), deepcopy(net)):
             assert copy == net and not copy.values.array.flags.writeable
 
+    def test_catalog_ordered_list(self):
+        spec = build_lattice(3)
+        assert ConductanceMap(spec, [1.0] * spec.n_edges) == ConductanceMap(spec, np.ones(spec.n_edges))
+        with pytest.raises(ValueError, match="^expected 24 conductance numbers in catalog order"):
+            ConductanceMap(spec, [1.0] * 3)
+
     @pytest.mark.parametrize("g", [np.ones(23), np.ones(24, dtype=bool), np.ones((1, 24))])
     def test_array_of_another_shape_or_dtype_rejected(self, g):
         with pytest.raises(ValueError, match="expected 24 conductance numbers in catalog order"):

@@ -16,6 +16,7 @@ from rnet.lattice import (
     ConductanceMap,
     EdgeId,
     EdgeValues,
+    ResponseMatrix,
     _kirchhoff_stack,
     _response_stack,
     build_lattice,
@@ -122,6 +123,32 @@ class TestExtraction:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             extract_boundary_conductances(np.eye(6))
+
+    @pytest.mark.parametrize("shape", [(4, 8), (6, 6), (0, 0)])
+    @pytest.mark.parametrize("read", [
+        ResponseMatrix,
+        extract_boundary_conductances,
+        lambda a: peel_layer(a, extract_boundary_conductances(unit_lambda(3))),
+        lambda a: reconstruct_full(a, 2),
+    ], ids=["ResponseMatrix", "extract", "peel_layer", "reconstruct_full"])
+    def test_one_response_matrix_shape_rule(self, read, shape):
+        try:
+            read(np.ones(shape))
+        except ValueError as exc:
+            assert type(exc) is DimensionMismatchError
+            assert str(exc) == (
+                f"response matrix must be square, of order 4k with k >= 1, got shape {shape}"
+            )
+        else:
+            pytest.fail("a matrix of no response-matrix shape was accepted")
+
+    @pytest.mark.parametrize("remove", [
+        lambda a: apply_spike_removal(a, 1, 0.5),
+        lambda a: apply_edge_removal(a, 1, 2, 0.5),
+    ], ids=["spike", "edge"])
+    def test_removal_of_non_square_refused(self, remove):
+        with pytest.raises(DimensionMismatchError, match=r"^expected a square matrix, got shape \(4, 8\)$"):
+            remove(np.ones((4, 8)))
 
     def test_uniform_scaling(self):
         net, lam = random_lambda(2, 7)

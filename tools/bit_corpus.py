@@ -363,6 +363,7 @@ def _cli_files(tmp: str) -> dict[str, str]:
         texts[f"recon{k}.json"] = reconstruction_to_json(reconstruct_full(response_matrix(net), k))
     texts["eye8.csv"] = matrix_to_csv(np.eye(8))
     texts["eye6.csv"] = matrix_to_csv(np.eye(6))
+    texts["ones4x8.csv"] = matrix_to_csv(np.ones((4, 8)))
     spec = build_lattice(5)
     for j in (2, 4):  # a nonpositive ring-1 spike, at a spike-rule index and a corner partner
         g = np.ones(spec.n_edges)
@@ -384,10 +385,13 @@ def cli_cases():
             "generate range 0:1": ["generate", "--length", "2", "--resistance-range", "0:1"],
             "generate range 5": ["generate", "--length", "2", "--resistance-range", "5"],
             "generate length 0": ["generate", "--length", "0"],
+            "generate seed -1": ["generate", "--length", "2", "--seed", "-1"],
             "forward singular k=2": ["forward", f["singular.json"]],
             "reconstruct eye(8)": ["reconstruct", f["eye8.csv"]],
             "reconstruct eye(6)": ["reconstruct", f["eye6.csv"]],
+            "reconstruct ones((4, 8))": ["reconstruct", f["ones4x8.csv"]],
             "measure elementwise:0.01": ["measure", f["net2.json"], "--noise", "elementwise:0.01"],
+            "measure seed -1": ["measure", f["net2.json"], "--seed", "-1"],
             "sweep noise sigma nan": ["sweep", "noise", "--k-list", "3", "--sigma-list", "nan"],
             "delta k=2 k=3": ["delta", f["recon2.json"], f["recon3.json"]],
             "reconstruct k=5 ring-1 spike 2 -0.5": ["reconstruct", f["spike2.csv"]],
