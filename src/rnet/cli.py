@@ -107,8 +107,8 @@ def _parse_k_range(text: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
-def _parse_list(text: str, kind: type) -> list:
-    return [kind(part) for part in text.split(",") if part.strip()]
+def _parse_list(kind: type):
+    return lambda text: [kind(part) for part in text.split(",") if part.strip()]
 
 
 @click.group()
@@ -119,14 +119,13 @@ def main():
 @_command(main)
 @click.option("--length", type=int, required=True, help="Network length k.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--resistance-range", default="1:2", show_default=True,
-              help="Uniform resistance draw lo:hi.")
+@click.option("--resistance-range", type=_parse_range_pair, metavar="TEXT", default="1:2",
+              show_default=True, help="Uniform resistance draw lo:hi.")
 def generate(length, seed, resistance_range):
     """Generate a random network document (JSON)."""
-    lo, hi = _parse_range_pair(resistance_range)
     spec = build_lattice(length)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return network_to_json(random_conductances(spec, rng, lo, hi))
+    return network_to_json(random_conductances(spec, rng, *resistance_range))
 
 
 @_command(main)
@@ -164,37 +163,39 @@ def sweep():
 
 
 @_command(sweep, "size")
-@click.option("--k-range", default="4:14:2", show_default=True, help="Lengths lo:hi[:step].")
+@click.option("--k-range", type=_parse_k_range, metavar="TEXT", default="4:14:2", show_default=True,
+              help="Lengths lo:hi[:step].")
 @click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--resistance-range", default="1:2", show_default=True)
+@click.option("--resistance-range", type=_parse_range_pair, metavar="TEXT", default="1:2",
+              show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def sweep_size(k_range, trials, resistance_range, seed):
     """Reconstruction error and time vs. network length."""
-    lo, hi = _parse_range_pair(resistance_range)
-    result = experiments.run_size_sweep(_parse_k_range(k_range), trials, lo, hi, seed=seed)
+    result = experiments.run_size_sweep(k_range, trials, *resistance_range, seed=seed)
     return experiments.sweep_to_csv(result)
 
 
 @_command(sweep, "noise")
-@click.option("--k-list", default="4,7,10", show_default=True, help="Lengths, comma-separated.")
-@click.option("--sigma-list", required=True, help="Noise levels, comma-separated.")
+@click.option("--k-list", type=_parse_list(int), metavar="TEXT", default="4,7,10",
+              show_default=True, help="Lengths, comma-separated.")
+@click.option("--sigma-list", type=_parse_list(float), metavar="TEXT", required=True,
+              help="Noise levels, comma-separated.")
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def sweep_noise(k_list, sigma_list, trials, seed):
     """Reconstruction error vs. multiplicative noise level."""
-    result = experiments.run_noise_sweep(
-        _parse_list(k_list, int), _parse_list(sigma_list, float), trials, seed=seed
-    )
+    result = experiments.run_noise_sweep(k_list, sigma_list, trials, seed=seed)
     return experiments.sweep_to_csv(result)
 
 
 @_command(sweep, "timing")
-@click.option("--k-range", default="2:14", show_default=True, help="Lengths lo:hi[:step].")
+@click.option("--k-range", type=_parse_k_range, metavar="TEXT", default="2:14", show_default=True,
+              help="Lengths lo:hi[:step].")
 @click.option("--trials", type=int, default=20, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def sweep_timing(k_range, trials, seed):
     """Reconstruction wall time vs. network length (always sequential)."""
-    result = experiments.run_timing_profile(_parse_k_range(k_range), trials, seed=seed)
+    result = experiments.run_timing_profile(k_range, trials, seed=seed)
     return experiments.sweep_to_csv(result)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 import time
 from dataclasses import astuple, dataclass, fields
 from typing import Sequence
@@ -28,12 +27,13 @@ from .errors import SpecMismatchError
 from .lattice import (
     ConductanceMap,
     LatticeSpec,
+    _as_int,
     _kirchhoff_stack,
     _random_conductance_array,
     _reciprocal,
     _response_stack,
 )
-from .measure_sim import _check_sigma, _elementwise_noise
+from .measure_sim import _elementwise_noise, _sigma
 from .reconstruct import ReconstructionResult, _peel_stack
 
 # Seed-derivation domains (first spawn_key component).
@@ -106,17 +106,11 @@ def _exact_text(x: float) -> str:
 def _check_grid(
     k_values: Sequence[int], trials: int, seed: int, sigmas: Sequence[float] = (0.0,)
 ) -> tuple:
-    """Refuse a bad grid or seed before any work; returns the lengths and ``trials`` as ``int``."""
-    if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    """Refuse a bad grid or seed before any work; returns the lengths, sigmas, trials, seed read."""
+    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed", 0)
     if not (len(k_values) and len(sigmas)):
         raise ValueError("a sweep needs at least one length and one sigma")
-    k_values = [LatticeSpec(k).length for k in k_values]
-    for s in sigmas:
-        _check_sigma(s)
-    return k_values, int(trials)
+    return [LatticeSpec(k).length for k in k_values], [_sigma(s) for s in sigmas], trials, seed
 
 
 def _draw_row(k: int, trials: int, seed: int, bounds: tuple[float, float] = (1.0, 2.0)):
@@ -183,7 +177,7 @@ def run_size_sweep(
     failures and excluded from the means; the sweep itself never aborts.
     ``workers`` is accepted for existing callers and ignored.
     """
-    k_values, trials = _check_grid(k_values, trials, seed)
+    k_values, _, trials, seed = _check_grid(k_values, trials, seed)
     bounds = (resistance_low, resistance_high)
     rows = _peel_rows([(str(k), *_draw_row(k, trials, seed, bounds)) for k in k_values])
     config = {
@@ -214,7 +208,7 @@ def run_noise_sweep(
     the sigma rows of one length share every ring.  Time columns and
     ``workers`` as in :func:`run_size_sweep`.
     """
-    k_values, trials = _check_grid(k_values, trials, seed, sigmas)
+    k_values, sigmas, trials, seed = _check_grid(k_values, trials, seed, sigmas)
     texts, rows = [_exact_text(s) for s in sigmas], []
     for k in k_values:
         g, lam = _draw_row(k, trials, seed)
@@ -242,7 +236,7 @@ def run_timing_profile(
     warm-up peel first; the timed peels then take the lengths in turn,
     trial by trial, so a change of host speed falls on every length alike.
     """
-    k_values, trials = _check_grid(k_values, trials, seed)
+    k_values, _, trials, seed = _check_grid(k_values, trials, seed)
     draws = [_draw_row(k, trials, seed) for k in k_values]
     for _, lam in draws:
         _peel_stack([lam[:1]])

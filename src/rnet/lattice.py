@@ -84,10 +84,7 @@ class LatticeSpec:
     length: int
 
     def __post_init__(self):
-        length = self.length
-        if isinstance(length, bool) or not isinstance(length, numbers.Integral) or length < 1:
-            raise ValueError(f"network length must be a positive integer, got {length!r}")
-        object.__setattr__(self, "length", int(length))
+        object.__setattr__(self, "length", _as_int(self.length, "network length"))
 
     @property
     def n_boundary(self) -> int:
@@ -109,8 +106,7 @@ class LatticeSpec:
     def interior_node_index(self, r: int, c: int) -> int:
         """0-based position of interior node ``(r, c)`` in Kirchhoff ordering."""
         k = self.length
-        if not (1 <= r <= k and 1 <= c <= k):
-            raise ValueError(f"interior node ({r}, {c}) out of range")
+        r, c = _as_int(r, "interior row", 1, k), _as_int(c, "interior column", 1, k)
         return 4 * k + (r - 1) * k + (c - 1)
 
     def edge_endpoints(self, edge: EdgeId) -> tuple[int, int]:
@@ -130,7 +126,7 @@ def _edge_catalog(k: int) -> tuple[EdgeId, ...]:
 
 
 # A Python or numpy bool passes for a number in arithmetic, but is never a
-# length, a noise level, a bound or a style knob.
+# length, an index, a seed, a noise level, a bound or a style knob.
 _BOOLS = (bool, np.bool_)
 
 
@@ -165,9 +161,7 @@ def _frame(m: int) -> np.ndarray:
 
 def _frame_row(m: int, b: int) -> np.ndarray:
     """``_frame(m)`` row of boundary node ``b``, refusing an index off the frame."""
-    if not 1 <= b <= 4 * m:
-        raise ValueError(f"boundary index {b} out of range 1..{4 * m}")
-    return _frame(m)[b - 1]
+    return _frame(m)[_as_int(b, "boundary index", 1, 4 * m) - 1]
 
 
 @lru_cache(maxsize=None)
@@ -211,14 +205,31 @@ def build_lattice(k: int) -> LatticeSpec:
     return LatticeSpec(k)
 
 
-def _as_number(value) -> float | None:
-    """``value`` as a float if it is a real number (a ``bool`` is not one) in float range."""
-    if isinstance(value, _BOOLS) or not isinstance(value, numbers.Real):
-        return None
-    try:
-        return float(value)
-    except OverflowError:  # an int beyond float range
-        return None
+def _as_number(value, what: str, rule: str = "a real number", accept=None, error=ValueError):
+    """``value`` as a float: a real number (a ``bool`` is not one) in float range.
+
+    With ``_as_int``, the one rule for what counts as a number, an integer and a
+    bool.  ``accept`` must take the float too; a refusal is an ``error`` worded
+    ``<what> must be <rule>, got <value!r>``.
+    """
+    number = None
+    if not isinstance(value, _BOOLS) and isinstance(value, numbers.Real):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond float range
+            pass
+    if number is None or (accept is not None and not accept(number)):
+        raise error(f"{what} must be {rule}, got {value!r}")
+    return number
+
+
+def _as_int(value, what: str, lo: int = 1, hi: float = math.inf) -> int:
+    """``value`` as an ``int`` in ``lo..hi`` read by ``_as_number``; unbounded, ``lo`` is 0 or 1."""
+    unbounded = ("a nonnegative integer", "a positive integer")
+    rule = unbounded[lo] if hi == math.inf else f"an integer in {lo}..{hi}"
+    integral = isinstance(value, numbers.Integral)
+    _as_number(value, what, rule, lambda _: integral and lo <= value <= hi)
+    return int(value)
 
 
 def _check_catalog_array(spec: LatticeSpec, array: np.ndarray, what: str) -> None:
@@ -314,9 +325,9 @@ def _edge_values(spec: LatticeSpec, values, what: str, rule: str, accept: Callab
                 f"missing {missing[:4]}, extra {extra[:4]}"
             )
         given = [by_slot[slot] for slot in range(spec.n_edges)]
-        parsed = [_as_number(value) for _, value in given]
-        checked = None if None in parsed else EdgeValues(spec, parsed)
-    bad = [x is None for x in parsed] if checked is None else ~accept(checked.array)
+        parsed = [_as_number(v, f"{what} of {k}", rule, error=NetworkFormatError) for k, v in given]
+        checked = EdgeValues(spec, parsed)
+    bad = ~accept(checked.array)
     if np.any(bad):
         slot = int(np.argmax(bad))
         key, value = given[slot] if given else (spec.edges[slot], float(checked.array[slot]))
@@ -331,6 +342,10 @@ def _reciprocal(g: np.ndarray) -> np.ndarray:
 
 def _positive_finite(g):
     return np.isfinite(g) & (g > 0)
+
+
+def _finite_nonnegative(g):
+    return np.isfinite(g) & (g >= 0)
 
 
 @dataclass(frozen=True)
@@ -355,10 +370,7 @@ class ConductanceMap:
         return EdgeValues(self.spec, _reciprocal(self.values.array))
 
     def scaled(self, factor: float) -> "ConductanceMap":
-        number = _as_number(factor)
-        if number is None:
-            raise ValueError(f"scale factor must be a real number, got {factor!r}")
-        return ConductanceMap(self.spec, number * self.values.array)
+        return ConductanceMap(self.spec, _as_number(factor, "scale factor") * self.values.array)
 
 
 def uniform_conductances(spec: LatticeSpec, value: float = 1.0) -> ConductanceMap:
@@ -381,11 +393,11 @@ def _random_conductance_array(
     n_edges: int, rng: np.random.Generator, resistance_low: float, resistance_high: float
 ) -> np.ndarray:
     """Catalog-ordered conductances of one network: the draw behind every random network."""
-    if isinstance(resistance_low, _BOOLS) or isinstance(resistance_high, _BOOLS) or not (
-        0 < resistance_low <= resistance_high < math.inf
-    ):
-        raise ValueError("need 0 < resistance_low <= resistance_high < inf")
-    return 1.0 / rng.uniform(resistance_low, resistance_high, size=n_edges)
+    lo = _as_number(resistance_low, "resistance_low", "positive and finite", _positive_finite)
+    hi = _as_number(resistance_high, "resistance_high", "positive and finite", _positive_finite)
+    if lo > hi:
+        raise ValueError(f"need resistance_low <= resistance_high, got {lo!r} and {hi!r}")
+    return 1.0 / rng.uniform(lo, hi, size=n_edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,10 +554,8 @@ def forward_boundary_solve(net: ConductanceMap, voltages) -> BoundaryResponse:
 # and the functions below only read it.
 
 def layer_length(k: int, layer: int) -> int:
-    m = k - 2 * layer
-    if layer < 0 or m < 1:
-        raise ValueError(f"layer {layer} out of range for length {k}")
-    return m
+    k = _as_int(k, "network length")
+    return k - 2 * _as_int(layer, "layer", 0, (k - 1) // 2)
 
 
 def _grid_edge(p: np.ndarray, q: np.ndarray) -> EdgeId:
@@ -565,9 +575,7 @@ def layer_tangential_edge(spec: LatticeSpec, layer: int, face: str, i: int) -> E
     m = layer_length(spec.length, layer)
     if face not in FACES:
         raise ValueError(f"unknown face {face!r}")
-    if not 1 <= i <= m - 1:
-        raise ValueError(f"tangential index {i} out of range 1..{m - 1}")
-    j = FACES.index(face) * m + i
+    j = FACES.index(face) * m + _as_int(i, "tangential index", 1, m - 1)
     return _grid_edge(*(_frame(m)[j - 1 : j + 1, 1] + layer))
 
 
@@ -619,12 +627,14 @@ def _read_document(text: str, schema: str, field: str, kind: type):
     if not isinstance(doc, dict) or doc.get("schema") != schema:
         raise NetworkFormatError(f"expected schema {schema!r}")
     length = doc.get("length")
-    if isinstance(length, bool) or not isinstance(length, int) or length < 1:
-        raise NetworkFormatError(f"invalid length {length!r}")
+    try:
+        spec = LatticeSpec(length)
+    except ValueError:
+        raise NetworkFormatError(f"invalid length {length!r}") from None
     body = doc.get(field)
     if not isinstance(body, kind):
         raise NetworkFormatError(f"missing {field} {'object' if kind is dict else 'array'}")
-    return LatticeSpec(length), body
+    return spec, body
 
 
 def network_from_json(text: str) -> ConductanceMap:

@@ -18,14 +18,14 @@ exactly symmetric.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from . import matrixkit
-from .lattice import _BOOLS, ConductanceMap, ResponseMatrix, response_matrix
+from .lattice import ConductanceMap, ResponseMatrix, _as_int, _as_number, _finite_nonnegative
+from .lattice import _positive_finite, _response_entries, response_matrix
 
 SOURCE_VOLTS = 5.0
 
@@ -47,11 +47,8 @@ class ProtocolNoise:
     quant_step: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.snr, _BOOLS) or isinstance(self.quant_step, _BOOLS):
-            raise ValueError(f"snr and quant_step must be numbers, not bool: {self!r}")
         snr_to_sigma(self.snr)
-        if not (math.isfinite(self.quant_step) and self.quant_step >= 0):
-            raise ValueError(f"quant_step must be >= 0, got {self.quant_step!r}")
+        _as_number(self.quant_step, "quant_step", ">= 0", _finite_nonnegative)
 
 
 NoiseModel = Union[NoNoise, ProtocolNoise]
@@ -61,11 +58,9 @@ NO_NOISE = NoNoise()
 
 def snr_to_sigma(snr: float) -> float:
     """Relative noise level implied by a mean-over-std ratio; its reciprocal must be finite."""
-    if isinstance(snr, _BOOLS) or not (
-        math.isfinite(snr) and snr > 0 and math.isfinite(1.0 / float(snr))
-    ):
-        raise ValueError(f"snr must be finite and > 0 with a finite reciprocal, got {snr!r}")
-    return 1.0 / snr
+    rule = "finite and > 0 with a finite reciprocal"
+    number = _as_number(snr, "snr", rule, lambda x: _positive_finite(x) and _positive_finite(1 / x))
+    return 1.0 / number
 
 
 def parse_noise_spec(text: str) -> NoiseModel:
@@ -116,8 +111,7 @@ def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> Measur
         sigma, quant = 0.0, 0.0
     else:
         raise TypeError(f"unknown noise model {model!r}")
-    seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    column_seeds = seed_seq.spawn(n)
+    column_seeds = _seed(seed).spawn(n)
 
     # Row j of ``readings`` is column j without its driven entry, so each
     # column's sum runs over one contiguous row, in the order of a 1-D sum.
@@ -137,10 +131,14 @@ def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> Measur
     return MeasurementRecord(lam=ResponseMatrix(lam), raw_columns=raw)
 
 
-def _check_sigma(sigma: float) -> None:
-    """Refuse an elementwise noise level that is not a finite number >= 0 (a bool is not one)."""
-    if isinstance(sigma, _BOOLS) or not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+def _seed(seed) -> np.random.SeedSequence:
+    """A ``SeedSequence`` as it is, or the one of ``seed`` read as a nonnegative integer."""
+    is_sequence = isinstance(seed, np.random.SeedSequence)
+    return seed if is_sequence else np.random.SeedSequence(_as_int(seed, "seed", 0))
+
+
+def _sigma(sigma) -> float:
+    return _as_number(sigma, "sigma", "finite and >= 0", _finite_nonnegative)
 
 
 def _elementwise_noise(stack: np.ndarray, sigma: float, seeds) -> np.ndarray:
@@ -151,7 +149,7 @@ def _elementwise_noise(stack: np.ndarray, sigma: float, seeds) -> np.ndarray:
     the draws loop over items.  Raises ``ValueError`` for a negative or
     non-finite sigma and for a non-finite result.
     """
-    _check_sigma(sigma)
+    sigma = _sigma(sigma)
     factors = np.stack(
         [np.random.default_rng(s).normal(1.0, sigma, size=stack.shape[1:]) for s in seeds]
     )
@@ -161,6 +159,6 @@ def _elementwise_noise(stack: np.ndarray, sigma: float, seeds) -> np.ndarray:
     return noisy
 
 
-def apply_elementwise_noise(lam: ResponseMatrix, sigma: float, seed) -> ResponseMatrix:
+def apply_elementwise_noise(lam: ResponseMatrix | np.ndarray, sigma: float, seed) -> ResponseMatrix:
     """Multiply every entry by an independent Normal(1, sigma), then symmetrize."""
-    return ResponseMatrix(_elementwise_noise(lam.entries[None], sigma, [seed])[0])
+    return ResponseMatrix(_elementwise_noise(_response_entries(lam)[None], sigma, [_seed(seed)])[0])

@@ -56,6 +56,7 @@ from .lattice import (
     EdgeValues,
     LatticeSpec,
     ResponseMatrix,
+    _as_int,
     _as_number,
     _edge_names,
     _edge_values,
@@ -251,12 +252,9 @@ def apply_spike_removal(lam, node: int, gamma: float) -> np.ndarray:
     """
     a = matrixkit._square(lam)
     n = a.shape[0]
-    if not 1 <= node <= n:
-        raise ValueError(f"boundary index {node} out of range 1..{n}")
-    g = _as_number(gamma)
-    if g is None or not _positive_finite(g):
-        raise InvalidConductanceError(f"spike conductance must be positive, got {gamma!r}")
-    i = node - 1
+    i = _as_int(node, "boundary index", 1, n) - 1
+    error = InvalidConductanceError
+    g = _as_number(gamma, "spike conductance", "positive", _positive_finite, error)
     diag = a[i, i]
     delta = diag - g
     if abs(delta) <= DELTA_FLOOR * abs(diag):
@@ -283,14 +281,10 @@ def apply_edge_removal(lam, i: int, j: int, gamma_prime: float) -> np.ndarray:
     """
     a = matrixkit._square(lam)
     n = a.shape[0]
+    i, j = _as_int(i, "boundary index", 1, n), _as_int(j, "boundary index", 1, n)
     if i == j:
         raise ValueError("edge endpoints must differ")
-    for idx in (i, j):
-        if not 1 <= idx <= n:
-            raise ValueError(f"boundary index {idx} out of range 1..{n}")
-    g = _as_number(gamma_prime)
-    if g is None:
-        raise ValueError(f"edge conductance must be a number, got {gamma_prime!r}")
+    g = _as_number(gamma_prime, "edge conductance", "a number")
     out = a.copy()
     out[i - 1, i - 1] -= g
     out[j - 1, j - 1] -= g
@@ -688,11 +682,12 @@ def reconstruct_full(lam: ResponseMatrix | np.ndarray, k: int) -> Reconstruction
     """
     t0 = time.perf_counter()
     entries = _response_entries(lam)
+    spec = LatticeSpec(k)
+    k = spec.length
     if entries.shape != (4 * k, 4 * k):
         raise DimensionMismatchError(
             f"expected a {4 * k}x{4 * k} response matrix for length {k}, got {entries.shape}"
         )
-    spec = LatticeSpec(k)
     notes: list[str] = []
     with np.errstate(over="ignore"):  # an overflow reads as infinite asymmetry
         asymmetry = np.abs(entries - entries.T).max() / (np.abs(entries).max() or 1.0)

@@ -9,15 +9,15 @@ deadband draw as neutral gray.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import SpecMismatchError
-from .lattice import EdgeId, EdgeValues, LatticeSpec, _edge_cells, _edge_names, _edge_values
-from .lattice import _BOOLS, _positive_finite, _read_document, _write_document
+from .lattice import EdgeId, EdgeValues, LatticeSpec, _as_number, _edge_cells, _edge_names
+from .lattice import _edge_values, _finite_nonnegative, _positive_finite, _read_document
+from .lattice import _write_document
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,11 @@ class RenderStyle:
     deadband: float = 0.005
 
     def __post_init__(self):
-        if isinstance(self.deadband, _BOOLS) or not 0 <= self.deadband < math.inf:
-            raise ValueError("deadband must be finite and >= 0")
-        if isinstance(self.min_width, _BOOLS) or isinstance(self.max_width, _BOOLS) or not (
-            0 < self.min_width <= self.max_width < math.inf
-        ):
-            raise ValueError("need 0 < min_width <= max_width < inf")
+        _as_number(self.deadband, "deadband", "finite and >= 0", _finite_nonnegative)
+        low = _as_number(self.min_width, "min_width", "positive and finite", _positive_finite)
+        high = _as_number(self.max_width, "max_width", "positive and finite", _positive_finite)
+        if low > high:
+            raise ValueError(f"need min_width <= max_width, got {low!r} and {high!r}")
 
 
 NEUTRAL_COLOR = "#8c8c8c"

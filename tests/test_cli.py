@@ -20,6 +20,14 @@ from rnet.lattice import (
 
 runner = CliRunner()
 
+# What each refused --resistance-range says: the bound it names, or the two read.
+RANGE_REFUSALS = {
+    "1:inf": "resistance_high must be positive and finite, got inf",
+    "0:1": "resistance_low must be positive and finite, got 0.0",
+    "3:1": "need resistance_low <= resistance_high, got 3.0 and 1.0",
+    "-1:2": "resistance_low must be positive and finite, got -1.0",
+}
+
 
 def invoke(*args):
     return runner.invoke(main, [str(a) for a in args], catch_exceptions=False)
@@ -67,11 +75,11 @@ class TestGenerate:
         result = runner.invoke(main, ["generate", "--length", "0"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("bounds", ["1:inf", "0:1", "3:1", "-1:2"])
+    @pytest.mark.parametrize("bounds", RANGE_REFUSALS)
     def test_infinite_resistance_bound_is_invalid_input(self, bounds):
         result = runner.invoke(main, ["generate", "--length", "2", "--resistance-range", bounds])
         assert result.exit_code == 2
-        assert result.stderr == "error: need 0 < resistance_low <= resistance_high < inf\n"
+        assert result.stderr == f"error: {RANGE_REFUSALS[bounds]}\n"
 
 
 class TestForwardAndMeasure:
@@ -179,14 +187,27 @@ class TestSweeps:
         header = [line for line in lines if not line.startswith("#")][0]
         assert header == "param,trials,rmse_mean,rmse_std,rel_rmse_mean,time_ms_mean,time_ms_std,failures"
 
-    @pytest.mark.parametrize("bounds", ["1:inf", "0:1", "3:1", "-1:2"])
+    @pytest.mark.parametrize("bounds", RANGE_REFUSALS)
     def test_infinite_resistance_bound_is_invalid_input(self, tmp_path, bounds):
         out = tmp_path / "size.csv"
         result = runner.invoke(main, ["sweep", "size", "--k-range", "2:3", "--trials", "2",
                                       "--resistance-range", bounds, "--out", str(out)])
         assert result.exit_code == 2
-        assert result.stderr == "error: need 0 < resistance_low <= resistance_high < inf\n"
+        assert result.stderr == f"error: {RANGE_REFUSALS[bounds]}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, option", [
+        (["sweep", "size", "--k-range", "4:x"], "--k-range"),
+        (["sweep", "timing", "--k-range", "5"], "--k-range"),
+        (["sweep", "noise", "--k-list", "a", "--sigma-list", "0"], "--k-list"),
+        (["sweep", "noise", "--sigma-list", "x"], "--sigma-list"),
+        (["generate", "--length", "2", "--resistance-range", "1:x"], "--resistance-range"),
+        (["sweep", "size", "--resistance-range", "1:x"], "--resistance-range"),
+    ], ids=["size-k-range", "timing-k-range", "k-list", "sigma-list", "generate-range", "size-range"])
+    def test_unreadable_text_option_named(self, args, option):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.stderr
 
     def test_noise_sweep_requires_sigma_list(self):
         result = runner.invoke(main, ["sweep", "noise"])

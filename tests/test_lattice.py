@@ -513,12 +513,16 @@ class TestConductanceMap:
 
     @pytest.mark.parametrize("low, high", [(1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)])
     def test_non_finite_resistance_bound_rejected(self, low, high):
-        with pytest.raises(ValueError, match="resistance_high < inf"):
+        name, bad = ("resistance_low", low) if low != 1.0 else ("resistance_high", high)
+        message = f"^{name} must be positive and finite, got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
             random_conductances(build_lattice(2), np.random.default_rng(0), low, high)
 
     @pytest.mark.parametrize("low, high", [(True, 2.0), (1.0, np.True_)])
     def test_bool_resistance_bound_rejected(self, low, high):
-        with pytest.raises(ValueError, match="resistance_high < inf"):
+        name, bad = ("resistance_low", low) if low is True else ("resistance_high", high)
+        message = f"^{name} must be positive and finite, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
             random_conductances(build_lattice(2), np.random.default_rng(0), low, high)
 
 

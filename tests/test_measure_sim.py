@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,9 @@ class TestNoiseSpecGrammar:
         (np.True_, 0.0), (230.0, np.True_), (230.0, np.False_),
     ])
     def test_bool_snr_or_quant_step_refused(self, snr, quant_step):
-        with pytest.raises(ValueError, match="not bool"):
+        bool_snr = isinstance(snr, (bool, np.bool_))
+        name, bad = ("snr", snr) if bool_snr else ("quant_step", quant_step)
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(bad))}$"):
             ProtocolNoise(snr, quant_step=quant_step)
 
     def test_subnormal_snr_names_the_spec(self):
@@ -233,6 +237,11 @@ class TestApplyElementwiseNoise:
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError, match="^matrix entries must be finite$"):
                 apply_elementwise_noise(lam, 1e-3, seed=0)
+
+    def test_array_and_response_matrix_give_the_same_bits(self):
+        lam = response_matrix(random_conductances(build_lattice(3), np.random.default_rng(2)))
+        from_array = apply_elementwise_noise(lam.entries, 0.05, seed=7).entries
+        assert from_array.tobytes() == apply_elementwise_noise(lam, 0.05, seed=7).entries.tobytes()
 
     def test_matches_the_rule_written_out(self):
         lam = response_matrix(random_conductances(build_lattice(3), np.random.default_rng(2)))

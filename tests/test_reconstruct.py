@@ -456,6 +456,12 @@ class TestReconstructFull:
         expected = reconstruct_full(lam, 3).conductances.array
         assert result.conductances.array.tobytes() == expected.tobytes()
 
+    def test_length_text_refused_as_a_length(self):
+        # 4 * "3" is "3333": the length is read before any shape is compared
+        message = "^network length must be a positive integer, got '3'$"
+        with pytest.raises(ValueError, match=message):
+            reconstruct_full(random_lambda(3, 4)[1], "3")
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_uniform_network_exact(self, k):
         result = reconstruct_full(response_matrix(uniform_conductances(build_lattice(k))), k)

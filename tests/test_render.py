@@ -247,7 +247,7 @@ class TestRenderDeltaMap:
             assert recon.delta[e] == pytest.approx(dmap.delta[e], abs=1e-12)
 
     def test_style_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need min_width <= max_width, got 3\.0 and 1\.0$"):
             RenderStyle(min_width=3.0, max_width=1.0)
         with pytest.raises(ValueError):
             RenderStyle(deadband=-0.1)
@@ -262,13 +262,4 @@ class TestRenderDeltaMap:
     ])
     def test_non_finite_style_rejected(self, knobs):
         with pytest.raises(ValueError):
-            RenderStyle(**knobs)
-
-    @pytest.mark.parametrize("knobs, message", [
-        ({"deadband": True}, "deadband must be finite"),
-        ({"min_width": np.True_}, "min_width <= max_width"),
-        ({"min_width": 0.5, "max_width": True}, "min_width <= max_width"),
-    ])
-    def test_bool_style_rejected(self, knobs, message):
-        with pytest.raises(ValueError, match=message):
             RenderStyle(**knobs)

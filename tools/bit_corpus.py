@@ -13,7 +13,9 @@ digits of a SHA-256 over the case's raw float64 bytes (or its refusal's
 type and message).  Sweep CSVs are digested with their wall-time columns
 blanked, and the reconstruction document with its elapsed time dropped.
 A failing ``rnet`` command is digested as its exit code and its stderr
-text.  The script uses the public ``rnet`` API and command line,
+text, and each bad scalar argument of ``tests/scalar_cases.py`` as its
+refusal's type and a digest of its message.  The script uses the public
+``rnet`` API and command line,
 ``lattice._kirchhoff_plan``, the table the forward model is assembled
 from, ``lattice._kirchhoff_stack`` and ``_response_stack``, which build a
 network that no ``ConductanceMap`` accepts, and ``reconstruct._ring_plan``,
@@ -30,6 +32,7 @@ import io
 import json
 import os
 import re
+import signal
 import sys
 import tempfile
 import warnings
@@ -393,6 +396,10 @@ def cli_cases():
             "measure elementwise:0.01": ["measure", f["net2.json"], "--noise", "elementwise:0.01"],
             "measure seed -1": ["measure", f["net2.json"], "--seed", "-1"],
             "sweep noise sigma nan": ["sweep", "noise", "--k-list", "3", "--sigma-list", "nan"],
+            "sweep noise sigma x": ["sweep", "noise", "--k-list", "3", "--sigma-list", "x"],
+            "sweep noise k-list a": ["sweep", "noise", "--k-list", "a", "--sigma-list", "0"],
+            "sweep size k-range 4:x": ["sweep", "size", "--k-range", "4:x"],
+            "generate range 1:x": ["generate", "--length", "2", "--resistance-range", "1:x"],
             "delta k=2 k=3": ["delta", f["recon2.json"], f["recon3.json"]],
             "reconstruct k=5 ring-1 spike 2 -0.5": ["reconstruct", f["spike2.csv"]],
             "reconstruct k=5 ring-1 spike 4 -0.5": ["reconstruct", f["spike4.csv"]],
@@ -401,6 +408,32 @@ def cli_cases():
         for name, args in cases.items():
             result = runner.invoke(rnet_main, args)
             yield f"cli {name}", digest(f"{result.exit_code}\n{result.stderr}".encode())
+
+
+def scalar_cases():
+    """What each bad value of each public scalar argument raises: its type and message digest.
+
+    A call that returns is recorded as ``returned``.  One still running
+    after 2 s, as a sweep that takes a trial count of 10**400 would be, is
+    cut there and recorded as a ``TimeoutError``.
+    """
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+    from scalar_cases import CASES
+
+    def cut(signum, frame):
+        raise TimeoutError
+
+    signal.signal(signal.SIGALRM, cut)
+    for name, (call, _, value) in CASES.items():
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            call(value)
+            out = "returned"
+        except Exception as exc:  # the refusal is the result
+            out = f"{type(exc).__name__} {digest(str(exc).encode())}"
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        yield f"scalar {name}", out
 
 
 def main() -> int:
@@ -426,6 +459,8 @@ def main() -> int:
     for name, value in schedule_cases():
         print(name, value)
     for name, value in cli_cases():
+        print(name, value)
+    for name, value in scalar_cases():
         print(name, value)
     return 0
 
