@@ -99,23 +99,6 @@ class LatticeSpec:
         """Canonical edge catalog: spikes, then horizontals, then verticals."""
         return _edge_catalog(self.length)
 
-    def spike_anchor(self, b: int) -> tuple[int, int]:
-        """Interior grid node the spike of boundary node ``b`` attaches to."""
-        return tuple(_frame_row(self.length, b)[1].tolist())
-
-    def interior_node_index(self, r: int, c: int) -> int:
-        """0-based position of interior node ``(r, c)`` in Kirchhoff ordering."""
-        k = self.length
-        r, c = _as_int(r, "interior row", 1, k), _as_int(c, "interior column", 1, k)
-        return 4 * k + (r - 1) * k + (c - 1)
-
-    def edge_endpoints(self, edge: EdgeId) -> tuple[int, int]:
-        """Kirchhoff-ordering node indices of an edge's two endpoints."""
-        slot = _edge_slots(self.length).get(edge)
-        if slot is None:
-            raise ValueError(f"edge {edge} out of range for length {self.length}")
-        return tuple(_edge_endpoints(self.length)[slot].tolist())
-
 
 @lru_cache(maxsize=None)
 def _edge_catalog(k: int) -> tuple[EdgeId, ...]:
@@ -157,11 +140,6 @@ def _frame(m: int) -> np.ndarray:
         np.stack([rev, zero], axis=1),  # west, bottom to top
     ])
     return _read_only(np.stack([nodes, np.clip(nodes, 1, m)], axis=1))
-
-
-def _frame_row(m: int, b: int) -> np.ndarray:
-    """``_frame(m)`` row of boundary node ``b``, refusing an index off the frame."""
-    return _frame(m)[_as_int(b, "boundary index", 1, 4 * m) - 1]
 
 
 @lru_cache(maxsize=None)
@@ -566,8 +544,9 @@ def _grid_edge(p: np.ndarray, q: np.ndarray) -> EdgeId:
 
 def layer_spike_edge(spec: LatticeSpec, layer: int, j: int) -> EdgeId:
     """Physical edge acting as the spike of boundary index ``j`` at a layer."""
-    row = _frame_row(layer_length(spec.length, layer), j)
-    return EdgeId.spike(j) if layer == 0 else _grid_edge(*(row + layer))
+    m = layer_length(spec.length, layer)
+    j = _as_int(j, "boundary index", 1, 4 * m)
+    return EdgeId.spike(j) if layer == 0 else _grid_edge(*(_frame(m)[j - 1] + layer))
 
 
 def layer_tangential_edge(spec: LatticeSpec, layer: int, face: str, i: int) -> EdgeId:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-
 
 def as_matrix(data) -> np.ndarray:
     """Copy ``data`` into a fresh 2-D float64 array, rejecting NaN/Inf."""
@@ -19,13 +17,6 @@ def as_matrix(data) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return a
-
-
-def _square(data) -> np.ndarray:
-    a = as_matrix(data)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 

@@ -111,7 +111,7 @@ def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> Measur
         sigma, quant = 0.0, 0.0
     else:
         raise TypeError(f"unknown noise model {model!r}")
-    column_seeds = _seed(seed).spawn(n)
+    seed = _seed(seed)  # read even when no noise is drawn, so a bad seed is refused
 
     # Row j of ``readings`` is column j without its driven entry, so each
     # column's sum runs over one contiguous row, in the order of a 1-D sum.
@@ -119,7 +119,7 @@ def simulate_measurement(net: ConductanceMap, model: NoiseModel, seed) -> Measur
     readings = (SOURCE_VOLTS * exact.T[off_diagonal]).reshape(n, n - 1)
     if sigma > 0.0:
         readings = readings * np.stack(
-            [np.random.default_rng(s).normal(1.0, sigma, size=n - 1) for s in column_seeds]
+            [np.random.default_rng(s).normal(1.0, sigma, size=n - 1) for s in seed.spawn(n)]
         )
     if quant > 0.0:
         readings = np.round(readings / quant) * quant

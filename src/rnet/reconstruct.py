@@ -237,6 +237,14 @@ def extract_boundary_conductances(lam) -> PeelExtraction:
     return PeelExtraction(m, values[0, : 4 * m], values[0, 4 * m :], _flag_texts(m, values[0]))
 
 
+def _square(lam) -> np.ndarray:
+    """A fresh copy of a square matrix, or of a ``ResponseMatrix``'s entries."""
+    a = matrixkit.as_matrix(lam.entries if isinstance(lam, ResponseMatrix) else lam)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
 def apply_spike_removal(lam, node: int, gamma: float) -> np.ndarray:
     """Response matrix after deleting the spike at boundary index ``node``.
 
@@ -250,7 +258,7 @@ def apply_spike_removal(lam, node: int, gamma: float) -> np.ndarray:
         DegenerateDeltaError: the diagonal minus ``gamma`` is numerically
             zero, i.e. ``gamma`` is inconsistent with the matrix.
     """
-    a = matrixkit._square(lam)
+    a = _square(lam)
     n = a.shape[0]
     i = _as_int(node, "boundary index", 1, n) - 1
     error = InvalidConductanceError
@@ -279,7 +287,7 @@ def apply_edge_removal(lam, i: int, j: int, gamma_prime: float) -> np.ndarray:
     it to the two off-diagonal entries.  Any real ``gamma_prime`` is taken,
     a nonpositive one included; a ``bool`` or a non-number raises ``ValueError``.
     """
-    a = matrixkit._square(lam)
+    a = _square(lam)
     n = a.shape[0]
     i, j = _as_int(i, "boundary index", 1, n), _as_int(j, "boundary index", 1, n)
     if i == j:
@@ -333,6 +341,7 @@ def removal_schedule(
     rule, and the tangential ring edges follow, addressed via the labels
     of their two anchors.
     """
+    m = _as_int(m, "current length")
     if m < 3:
         raise ValueError(f"peeling needs current length >= 3, got {m}")
     groups = _shared_anchors(m)
@@ -359,7 +368,8 @@ def isolated_indices(m: int) -> tuple[int, ...]:
     nodes whose spikes were removed as edges, plus the four corner anchors,
     which lose all incident edges.
     """
-    return tuple(sorted(b for group in _shared_anchors(m) if len(group) > 1 for b in group))
+    groups = _shared_anchors(_as_int(m, "current length"))
+    return tuple(sorted(b for group in groups if len(group) > 1 for b in group))
 
 
 def apply_schedule(lam: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:

@@ -54,13 +54,6 @@ def _draw(low, high):
 ARGUMENTS = {
     "LatticeSpec.length": (LatticeSpec, "network length", True),
     "build_lattice.k": (build_lattice, "network length", True),
-    "LatticeSpec.spike_anchor.b": (SPEC.spike_anchor, "boundary index", True),
-    "LatticeSpec.interior_node_index.r": (
-        lambda v: SPEC.interior_node_index(v, 1), "interior row", True
-    ),
-    "LatticeSpec.interior_node_index.c": (
-        lambda v: SPEC.interior_node_index(1, v), "interior column", True
-    ),
     "layer_length.k": (lambda v: layer_length(v, 0), "network length", True),
     "layer_length.layer": (lambda v: layer_length(5, v), "layer", True),
     "layer_spike_edge.layer": (lambda v: layer_spike_edge(SPEC, v, 1), "layer", True),

@@ -96,32 +96,20 @@ class TestTopology:
         assert spec.edges == LatticeSpec(3).edges
 
     def test_anchor_tables(self):
-        spec = build_lattice(3)
+        anchors = [tuple(a) for a in lattice._frame(3)[:, 1].tolist()]
         # clockwise from top-left: north L->R, east T->B, south R->L, west B->T
-        assert spec.spike_anchor(1) == (1, 1)
-        assert spec.spike_anchor(3) == (1, 3)
-        assert spec.spike_anchor(4) == (1, 3)
-        assert spec.spike_anchor(6) == (3, 3)
-        assert spec.spike_anchor(7) == (3, 3)
-        assert spec.spike_anchor(9) == (3, 1)
-        assert spec.spike_anchor(10) == (3, 1)
-        assert spec.spike_anchor(12) == (1, 1)
+        for b, anchor in [
+            (1, (1, 1)), (3, (1, 3)), (4, (1, 3)), (6, (3, 3)),
+            (7, (3, 3)), (9, (3, 1)), (10, (3, 1)), (12, (1, 1)),
+        ]:
+            assert anchors[b - 1] == anchor
+        assert anchors == [layer_anchor(build_lattice(3), 0, b) for b in range(1, 13)]
 
     def test_corner_anchors_carry_two_spikes(self):
-        spec = build_lattice(5)
-        anchors = [spec.spike_anchor(b) for b in range(1, 21)]
+        anchors = [tuple(a) for a in lattice._frame(5)[:, 1].tolist()]
         corners = [(1, 1), (1, 5), (5, 5), (5, 1)]
         for corner in corners:
             assert anchors.count(corner) == 2
-
-    @pytest.mark.parametrize(
-        "edge",
-        [EdgeId.spike(13), EdgeId.horizontal(3, 3), EdgeId.vertical(3, 1), EdgeId("Q", 1, 1)],
-        ids=str,
-    )
-    def test_edge_endpoints_off_the_catalog_refused(self, edge):
-        with pytest.raises(ValueError):
-            build_lattice(3).edge_endpoints(edge)
 
     def test_catalog_order(self):
         spec = build_lattice(2)
@@ -361,6 +349,11 @@ class TestLayerGeometry:
         spec = build_lattice(k)
         m = layer_length(k, layer)
         lo, hi = layer + 1, k - layer  # interior ring layer+1 spans rows and columns lo..hi
+        ends_of = lattice._edge_endpoints(k).tolist()
+
+        def interior_index(r, c):  # Kirchhoff order: 4k boundary nodes, then the grid by rows
+            return 4 * k + (r - 1) * k + (c - 1)
+
         # each face's first anchor is a corner of that ring, clockwise from the top left
         corners = [layer_anchor(spec, layer, f * m + 1) for f in range(4)]
         assert corners == [(lo, lo), (lo, hi), (hi, hi), (hi, lo)]
@@ -370,9 +363,9 @@ class TestLayerGeometry:
             node = layer_boundary_node(spec, layer, j)
             if node[0] == "I":  # on interior ring `layer`, one step outside the anchor's ring
                 assert {layer, k + 1 - layer} & set(node[1:])
-            outer = node[1] - 1 if node[0] == "B" else spec.interior_node_index(*node[1:])
-            ends = spec.edge_endpoints(layer_spike_edge(spec, layer, j))
-            assert sorted(ends) == sorted((outer, spec.interior_node_index(*anchor)))
+            outer = node[1] - 1 if node[0] == "B" else interior_index(*node[1:])
+            ends = ends_of[spec.edges.index(layer_spike_edge(spec, layer, j))]
+            assert sorted(ends) == sorted((outer, interior_index(*anchor)))
 
     def test_out_of_range_layers(self):
         with pytest.raises(ValueError):

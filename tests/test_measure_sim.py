@@ -131,6 +131,11 @@ class TestSimulateMeasurement:
         record = simulate_measurement(net, ProtocolNoise(50.0), seed=9)
         assert np.array_equal(record.lam.entries, record.lam.entries.T)
 
+    def test_noise_free_spawns_no_column_streams(self):
+        seed = np.random.SeedSequence(0)
+        simulate_measurement(uniform_conductances(build_lattice(2)), NO_NOISE, seed)
+        assert seed.n_children_spawned == 0
+
     def test_unknown_model_rejected(self):
         net = uniform_conductances(build_lattice(1))
         with pytest.raises(TypeError, match="unknown noise model"):

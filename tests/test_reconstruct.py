@@ -237,6 +237,16 @@ class TestSpikeRemoval:
             apply_spike_removal(unit_lambda(1), 5, 1.0)
 
 
+@pytest.mark.parametrize(
+    "remove",
+    [lambda lam: apply_spike_removal(lam, 5, 0.9), lambda lam: apply_edge_removal(lam, 2, 7, 0.9)],
+    ids=["spike", "edge"],
+)
+def test_removal_reads_a_response_matrix_as_its_entries(remove):
+    lam = response_matrix(random_conductances(build_lattice(2), np.random.default_rng(3)))
+    assert remove(lam).tobytes() == remove(lam.entries).tobytes()
+
+
 class TestEdgeRemoval:
     def test_zero_gamma_is_identity(self):
         lam = random_lambda(2, 8)[1]
@@ -280,6 +290,11 @@ class TestEdgeRemoval:
     def test_bool_or_non_number_rejected(self, gamma):
         with pytest.raises(ValueError, match="edge conductance must be a number"):
             apply_edge_removal(unit_lambda(1), 1, 2, gamma)
+
+
+def unit_schedule(m):
+    """``removal_schedule`` of ``m`` and a valid k=4 extraction, so only ``m`` can be refused."""
+    return removal_schedule(m, extract_boundary_conductances(unit_lambda(4)))
 
 
 def random_valid_schedule(m, extraction, rng):
@@ -374,6 +389,22 @@ class TestPeel:
             assert got == (1, 3, 4, 6, 7, 9, 10, 12)
         if m == 4:
             assert got == (1, 4, 5, 8, 9, 12, 13, 16)
+
+    @pytest.mark.parametrize(
+        "read, m, message",
+        [
+            (isolated_indices, 3.5, "current length must be a positive integer, got 3.5"),
+            (isolated_indices, True, "current length must be a positive integer, got True"),
+            (unit_schedule, 3.5, "current length must be a positive integer, got 3.5"),
+            (unit_schedule, 1, "peeling needs current length >= 3, got 1"),
+            (unit_schedule, 2, "peeling needs current length >= 3, got 2"),
+        ],
+        ids=["isolated-3.5", "isolated-True", "schedule-3.5", "schedule-1", "schedule-2"],
+    )
+    def test_current_length_refused(self, read, m, message):
+        with pytest.raises(ValueError) as refusal:
+            read(m)
+        assert type(refusal.value) is ValueError and str(refusal.value) == message
 
     @pytest.mark.parametrize("low_first", [True, False])
     @pytest.mark.parametrize("m", range(3, 10))

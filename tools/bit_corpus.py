@@ -15,12 +15,12 @@ blanked, and the reconstruction document with its elapsed time dropped.
 A failing ``rnet`` command is digested as its exit code and its stderr
 text, and each bad scalar argument of ``tests/scalar_cases.py`` as its
 refusal's type and a digest of its message.  The script uses the public
-``rnet`` API and command line,
-``lattice._kirchhoff_plan``, the table the forward model is assembled
-from, ``lattice._kirchhoff_stack`` and ``_response_stack``, which build a
-network that no ``ConductanceMap`` accepts, and ``reconstruct._ring_plan``,
-the index arrays the block peel is compiled to, so it runs on any version
-that has them.  It takes a few seconds on a 2-core host.
+``rnet`` API and command line, the geometry tables ``lattice._frame``
+and ``lattice._edge_endpoints``, ``lattice._kirchhoff_plan``, the table
+the forward model is assembled from, ``lattice._kirchhoff_stack`` and
+``_response_stack``, which build a network that no ``ConductanceMap``
+accepts, and ``reconstruct._ring_plan``, the index arrays the block peel
+is compiled to, so it runs on any version that has them.  It takes a few seconds on a 2-core host.
 It is not a test: pytest does not collect it.
 """
 
@@ -68,6 +68,8 @@ from rnet import (
 )
 from rnet.cli import main as rnet_main
 from rnet.lattice import (
+    _edge_endpoints,
+    _frame,
     _kirchhoff_plan,
     _kirchhoff_stack,
     _response_stack,
@@ -209,8 +211,8 @@ def geometry_cases():
     """
     for k in range(1, 17):
         spec = build_lattice(k)
-        anchors = [spec.spike_anchor(b) for b in range(1, 4 * k + 1)]
-        ends = [spec.edge_endpoints(e) for e in spec.edges]
+        anchors = [tuple(a) for a in _frame(k)[:, 1].tolist()]
+        ends = [tuple(e) for e in _edge_endpoints(k).tolist()]
         layers = []
         for layer in range((k + 1) // 2):
             m = layer_length(k, layer)
