@@ -438,18 +438,18 @@ def _eliminate_interior(kirchhoff: np.ndarray, k: int):
     """Schur complements of a ``(B, n, n)`` Kirchhoff stack onto the boundary.
 
     The interior is block tridiagonal in grid rows, so it is eliminated one
-    row at a time: each step solves one ``k``-by-``k`` system per item
-    against the row's coupling to the boundary (with the fill-in of earlier
-    rows) and to the next row.  Every LAPACK call stays this small, which
-    keeps the result independent of the BLAS thread count and of the
-    stack it sits in.
+    row at a time: each step inverts one well-conditioned ``k``-by-``k`` row
+    block per item (README, "Error level at k=14") and applies it to the
+    row's coupling to the boundary (with the fill-in of earlier rows) and to
+    the next row.  No LAPACK call or product is wider than ``4k``, so the
+    bits depend on neither the BLAS thread count nor the stack.
 
     Returns the (unsymmetrized) response matrices and, per grid row, the
-    solved couplings ``(x_b, x_c)`` from which interior potentials follow
-    by back substitution: ``phi_r = -(x_b @ u + x_c @ phi_{r+1})``.
+    couplings ``(x_b, x_c)`` times the row inverse, from which interior
+    potentials follow by back substitution: ``phi_r = -(x_b @ u + x_c @ phi_{r+1})``.
 
     Raises:
-        SingularMatrixError: if a row block cannot be solved.
+        SingularMatrixError: if a row block cannot be inverted.
     """
     nb = 4 * k
     rows = [slice(nb + r * k, nb + (r + 1) * k) for r in range(k + 1)]
@@ -461,10 +461,10 @@ def _eliminate_interior(kirchhoff: np.ndarray, k: int):
         cur, nxt = rows[r], rows[r + 1]
         coupling = kirchhoff[:, cur, nxt]  # k-by-0 after the last row
         try:
-            x = np.linalg.solve(m_rr, np.concatenate([m_rb, coupling], axis=2))
+            inv = np.linalg.inv(m_rr)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"interior row {r + 1}: {exc}") from None
-        x_b, x_c = x[:, :, :nb], x[:, :, nb:]
+        x_b, x_c = inv @ m_rb, inv @ coupling
         steps.append((x_b, x_c))
         lam -= m_br @ x_b
         back = kirchhoff[:, nxt, cur]
@@ -503,7 +503,7 @@ def forward_boundary_solve(net: ConductanceMap, voltages) -> BoundaryResponse:
     the boundary data), ordered row-major over the interior grid.  One
     elimination serves both: the currents equal ``response_matrix(net)``
     applied to the voltages, and the potentials back-substitute through
-    the same per-row solves.
+    the same per-row inverses.
     """
     spec = net.spec
     u = np.asarray(voltages, dtype=np.float64)

@@ -1,8 +1,9 @@
 """Dense matrix helpers: validation, symmetrization and CSV exchange.
 
 Everything here treats arrays as immutable values: inputs are never
-modified and every operation returns a freshly allocated array.  The
-forward model and the peel solve with numpy's LAPACK.
+modified and every operation returns a freshly allocated array.  With
+numpy's LAPACK, the forward model inverts its well-conditioned row blocks
+and the peel solves, never inverts (README, "Error level at k=14").
 """
 
 from __future__ import annotations

@@ -102,17 +102,25 @@ class TestSizeSweep:
         assert strip_time_columns(a) == strip_time_columns(b)
 
     def test_csv_independent_of_blas_thread_count(self):
-        # Every LAPACK call in the forward model and the peel is at most
-        # 4k wide, below the sizes at which OpenBLAS splits work across
-        # threads, so the bits must not depend on the thread count.
+        # Every LAPACK call and every matrix product in the forward model
+        # and the peel is at most 4k wide, below the sizes at which OpenBLAS
+        # splits work across threads, so the bits must not depend on the
+        # thread count.  The '#' lines digest forward stacks at k=15 and 16.
         def sweep_csv(threads: int) -> str:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
             src = str(Path(rnet.__file__).resolve().parents[1])
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            code = (
-                "from rnet.experiments import run_size_sweep, sweep_to_csv; "
-                "print(sweep_to_csv(run_size_sweep([10, 12, 14], trials=3, seed=21)), end='')"
-            )
+            code = "\n".join([
+                "import hashlib",
+                "import numpy as np",
+                "from rnet.experiments import run_size_sweep, sweep_to_csv",
+                "from rnet.lattice import _kirchhoff_stack, _response_stack, build_lattice",
+                "print(sweep_to_csv(run_size_sweep([10, 12, 14], trials=3, seed=21)), end='')",
+                "for k in (15, 16):",
+                "    g = np.random.default_rng(k).uniform(0.5, 1.0, (10, build_lattice(k).n_edges))",
+                "    lam = _response_stack(_kirchhoff_stack(g, k), k)",
+                "    print(f'# response k={k}', hashlib.sha256(lam.tobytes()).hexdigest())",
+            ])
             done = subprocess.run(
                 [sys.executable, "-c", code], env=env, capture_output=True, text=True,
                 timeout=300, check=True,
@@ -120,7 +128,7 @@ class TestSizeSweep:
             return done.stdout
 
         one, two = sweep_csv(1), sweep_csv(2)
-        assert "\n14,3," in one
+        assert "\n14,3," in one and "\n# response k=16 " in one
         assert strip_time_columns(one) == strip_time_columns(two)
 
     def test_different_seeds_differ(self):
